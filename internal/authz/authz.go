@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,13 +60,14 @@ type Engine struct {
 	layerName string
 	polHash   string
 
-	mu       sync.Mutex
-	sessions *lruCache[*CredentialSession] // by fingerprint, bounded
-	cache    *lruCache[*Decision]
-	dags     *lruCache[dagEntry] // compiled DAGs by fingerprint, epoch-tagged
-	epoch    atomic.Uint64       // bumped by Invalidate; see Epoch
+	sessions      *EpochCache[*CredentialSession] // by fingerprint
+	cache         *EpochCache[*Decision]          // by fingerprint + query
+	dags          *EpochCache[*compile.DAG]       // by fingerprint
+	epoch         atomic.Uint64                   // bumped by Invalidate; see Epoch
+	invalidations atomic.Uint64
 
-	hits, misses, invalidations uint64
+	// Capacities, read once by NewEngine after the options ran.
+	cacheSize, sessionCap, dagCacheSize int
 
 	tel       *telemetry.Registry
 	noCompile bool
@@ -80,7 +80,7 @@ type Option func(*Engine)
 func WithCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.cache = newLRUCache[*Decision](n)
+			e.cacheSize = n
 		}
 	}
 }
@@ -90,7 +90,7 @@ func WithCacheSize(n int) Option {
 func WithSessionCap(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.sessions = newLRUCache[*CredentialSession](n)
+			e.sessionCap = n
 		}
 	}
 }
@@ -104,7 +104,7 @@ func WithSessionCap(n int) Option {
 func WithDAGCacheSize(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
-			e.dags = newLRUCache[dagEntry](n)
+			e.dagCacheSize = n
 		}
 	}
 }
@@ -135,17 +135,20 @@ func WithoutCompilation() Option {
 // not once per query.
 func NewEngine(chk *keynote.Checker, opts ...Option) *Engine {
 	e := &Engine{
-		checker:   chk,
-		memo:      chk.MemoizeResolver(),
-		layerName: "L2:keynote",
-		polHash:   policyHash(chk.Policy()),
-		sessions:  newLRUCache[*CredentialSession](DefaultSessionCap),
-		cache:     newLRUCache[*Decision](DefaultCacheSize),
-		dags:      newLRUCache[dagEntry](DefaultDAGCacheSize),
+		checker:      chk,
+		memo:         chk.MemoizeResolver(),
+		layerName:    "L2:keynote",
+		polHash:      policyHash(chk.Policy()),
+		cacheSize:    DefaultCacheSize,
+		sessionCap:   DefaultSessionCap,
+		dagCacheSize: DefaultDAGCacheSize,
 	}
 	for _, o := range opts {
 		o(e)
 	}
+	e.sessions = NewEpochCache[*CredentialSession](e, e.sessionCap, nil, "", "")
+	e.cache = NewEpochCache[*Decision](e, e.cacheSize, e.tel, "authz.cache.hits", "authz.cache.misses")
+	e.dags = NewEpochCache[*compile.DAG](e, e.dagCacheSize, e.tel, "authz.compile.dag_cache.hits", "authz.compile.dag_cache.misses")
 	return e
 }
 
@@ -158,16 +161,14 @@ func (e *Engine) Checker() *keynote.Checker { return e.checker }
 // costs no re-verification.
 func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
 	fp := e.fingerprint(creds)
-	e.mu.Lock()
-	if s, ok := e.sessions.get(fp); ok {
-		e.mu.Unlock()
+	s, epoch, ok := e.sessions.Get(fp)
+	if ok {
 		return s
 	}
-	e.mu.Unlock()
 
 	// Admission runs outside the lock: signature verification is the
 	// expensive part and must not serialise unrelated handshakes.
-	s := &CredentialSession{engine: e, fp: fp}
+	s = &CredentialSession{engine: e, fp: fp}
 	for _, cr := range creds {
 		switch {
 		case cr.IsPolicy():
@@ -189,93 +190,43 @@ func (e *Engine) Session(creds []*keynote.Assertion) *CredentialSession {
 		}
 	}
 
-	// Compile the admitted set to a decision DAG, still outside the
+	// Compile the admitted set to a decision DAG, still outside any
 	// lock. The session fingerprint doubles as the compilation cache
-	// key: identical sets share the session and therefore the DAG, and
-	// Invalidate drops both together. A set readmitted after session
-	// eviction (a reconnecting client) finds its DAG in the
-	// cross-session cache and skips the compile entirely — unless the
-	// epoch moved, which orphans every cached DAG at once. Compilation
-	// failure is not an admission failure — the session falls back to
-	// the interpreter.
+	// key: identical sets share the session and therefore the DAG. A set
+	// readmitted after session eviction (a reconnecting client) finds
+	// its DAG in the cross-session cache and skips the compile entirely
+	// — unless the epoch moved, which orphans every cached DAG at once.
+	// Compilation failure is not an admission failure — the session
+	// falls back to the interpreter.
 	if !e.noCompile {
-		epoch := e.epoch.Load()
-		if dag, ok := e.dagGet(fp, epoch); ok {
+		if dag, dagEpoch, ok := e.dags.Get(fp); ok {
 			s.compiled = dag
-			e.tel.Counter("authz.compile.dag_cache.hits").Inc()
+		} else if dag, err := compile.Compile(e.checker.Policy(), s.admitted, e.checker.Resolver()); err == nil {
+			s.compiled = dag
+			e.tel.Counter("authz.compile.sessions").Inc()
+			e.dags.Put(fp, dag, dagEpoch)
 		} else {
-			e.tel.Counter("authz.compile.dag_cache.misses").Inc()
-			if dag, err := compile.Compile(e.checker.Policy(), s.admitted, e.checker.Resolver()); err == nil {
-				s.compiled = dag
-				e.tel.Counter("authz.compile.sessions").Inc()
-				e.dagPut(fp, epoch, dag)
-			} else {
-				e.tel.Counter("authz.compile.fallbacks").Inc()
-			}
+			e.tel.Counter("authz.compile.fallbacks").Inc()
 		}
 	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if prior, ok := e.sessions.get(fp); ok {
-		return prior // lost the admission race; identical content anyway
-	}
-	e.sessions.put(fp, s)
+	e.sessions.Put(fp, s, epoch)
 	return s
 }
 
-// dagEntry is one cached compiled DAG, tagged with the epoch it was
-// compiled under; a stale tag makes the entry invisible.
-type dagEntry struct {
-	epoch uint64
-	dag   *compile.DAG
-}
-
-// dagGet returns the DAG cached for fp if it was compiled under epoch.
-func (e *Engine) dagGet(fp string, epoch uint64) (*compile.DAG, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.dags.get(fp)
-	if !ok || ent.epoch != epoch {
-		return nil, false
-	}
-	return ent.dag, true
-}
-
-// dagPut caches a freshly compiled DAG under its pre-compile epoch
-// snapshot; an Invalidate that raced the compile leaves the entry
-// permanently stale rather than ever serving it.
-func (e *Engine) dagPut(fp string, epoch uint64, dag *compile.DAG) {
-	e.mu.Lock()
-	e.dags.put(fp, dagEntry{epoch: epoch, dag: dag})
-	e.mu.Unlock()
-}
-
-// Epoch returns the engine's invalidation epoch: a counter bumped by
-// every Invalidate. Callers that derive state from decisions (e.g. the
-// WebCom admission-time verdict bitmaps) snapshot the epoch before
-// deciding and discard the derivation if it moved — a decision computed
-// under epoch N must not be memoised into epoch N+1.
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
-
-// Invalidate flushes the decision cache, the admitted sessions, the
-// compiled-DAG cache and the resolver memo, and advances the epoch —
-// every epoch-guarded derivation (verdict bitmaps, delegation mint
-// caches, relint-skip tables) goes stale with it. KeyCOM fires it on every
-// catalogue commit; anything that changes policy inputs out from under
-// the engine should too.
+// Invalidate advances the epoch, which retires every EpochCache entry
+// guarded by this engine — admitted sessions, decisions, compiled DAGs,
+// verdict sets, delegation mint and relint-skip tables — and flushes
+// the resolver memo first, so no decision under the new epoch resolves
+// through a pre-commit name. KeyCOM fires it on every catalogue commit;
+// anything that changes policy inputs out from under the engine should
+// too.
 func (e *Engine) Invalidate() {
-	e.epoch.Add(1)
-	e.mu.Lock()
-	e.cache.clear()
-	e.sessions.clear()
-	e.dags.clear()
-	e.invalidations++
-	e.mu.Unlock()
-	e.tel.Counter("authz.cache.invalidations").Inc()
 	if e.memo != nil {
 		e.memo.Flush()
 	}
+	e.epoch.Add(1)
+	e.invalidations.Add(1)
+	e.tel.Counter("authz.cache.invalidations").Inc()
 }
 
 // Stats is a point-in-time snapshot of the engine's counters.
@@ -287,72 +238,17 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// Stats returns the engine's counters.
+// Stats returns the engine's counters. Sessions and CacheEntries count
+// live entries only.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	hits, misses := e.cache.counts()
 	return Stats{
 		Sessions:      e.sessions.len(),
 		CacheEntries:  e.cache.len(),
-		Hits:          e.hits,
-		Misses:        e.misses,
-		Invalidations: e.invalidations,
+		Hits:          hits,
+		Misses:        misses,
+		Invalidations: e.invalidations.Load(),
 	}
-}
-
-func (e *Engine) cacheGet(key string) (*Decision, bool) {
-	e.mu.Lock()
-	d, ok := e.cache.get(key)
-	if ok {
-		e.hits++
-	} else {
-		e.misses++
-	}
-	e.mu.Unlock()
-	if ok {
-		e.tel.Counter("authz.cache.hits").Inc()
-	} else {
-		e.tel.Counter("authz.cache.misses").Inc()
-	}
-	return d, ok
-}
-
-func (e *Engine) cachePut(key string, d *Decision) {
-	e.mu.Lock()
-	e.cache.put(key, d)
-	e.mu.Unlock()
-}
-
-// cacheGetBatch looks up every key under one lock acquisition. The
-// result slice is parallel to keys, nil for misses.
-func (e *Engine) cacheGetBatch(keys []string) []*Decision {
-	out := make([]*Decision, len(keys))
-	var hits, misses int64
-	e.mu.Lock()
-	for i, key := range keys {
-		if d, ok := e.cache.get(key); ok {
-			out[i] = d
-			hits++
-		} else {
-			misses++
-		}
-	}
-	e.hits += uint64(hits)
-	e.misses += uint64(misses)
-	e.mu.Unlock()
-	e.tel.Counter("authz.cache.hits").Add(hits)
-	e.tel.Counter("authz.cache.misses").Add(misses)
-	return out
-}
-
-// cachePutBatch inserts all key/decision pairs under one lock
-// acquisition.
-func (e *Engine) cachePutBatch(keys []string, ds []*Decision) {
-	e.mu.Lock()
-	for i, key := range keys {
-		e.cache.put(key, ds[i])
-	}
-	e.mu.Unlock()
 }
 
 // fingerprint hashes the credential set (order-blind) together with the
@@ -446,7 +342,8 @@ func (s *CredentialSession) Decide(ctx context.Context, q keynote.Query) (*Decis
 	// Trace.CacheHit and the latency histogram, and a span per hit would
 	// dominate the cost of the hit itself on the delegation hot path.
 	key := s.fp + "\x00" + canonicalQuery(q)
-	if d, ok := s.engine.cacheGet(key); ok {
+	d, epoch, ok := s.engine.cache.Get(key)
+	if ok {
 		hit := *d
 		hit.Trace.CacheHit = true
 		hit.Trace.Elapsed = time.Since(start)
@@ -467,9 +364,9 @@ func (s *CredentialSession) Decide(ctx context.Context, q keynote.Query) (*Decis
 	if err != nil {
 		return nil, err
 	}
-	d := s.decisionOf(q, res, start)
+	d = s.decisionOf(q, res, start)
 	span.SetAttr("allowed", strconv.FormatBool(d.Allowed))
-	s.engine.cachePut(key, d)
+	s.engine.cache.Put(key, d, epoch)
 	return d, nil
 }
 
@@ -529,7 +426,8 @@ func (s *CredentialSession) DecideBulk(ctx context.Context, qs []keynote.Query) 
 	for i := range qs {
 		keys[i] = s.fp + "\x00" + canonicalQuery(qs[i])
 	}
-	out := s.engine.cacheGetBatch(keys)
+	out := make([]*Decision, len(qs))
+	epoch := s.engine.cache.getBatch(keys, func(i int, d *Decision) { out[i] = d })
 	var missIdx []int
 	for i, d := range out {
 		if d == nil {
@@ -574,7 +472,7 @@ func (s *CredentialSession) DecideBulk(ctx context.Context, qs []keynote.Query) 
 		missKeys[j] = keys[i]
 		missDecisions[j] = out[i]
 	}
-	s.engine.cachePutBatch(missKeys, missDecisions)
+	s.engine.cache.putBatch(missKeys, missDecisions, epoch)
 	return out, nil
 }
 

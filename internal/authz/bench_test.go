@@ -75,23 +75,6 @@ func BenchmarkDecideWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideUncached varies the query every iteration so each
-// decision misses the cache but still skips signature verification —
-// the floor for novel queries on an admitted session.
-func BenchmarkDecideUncached(b *testing.B) {
-	f := newFixture(b)
-	s := f.engine.Session([]*keynote.Assertion{f.cred})
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := f.query(fmt.Sprintf("Role-%d", i))
-		if _, err := s.Decide(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecideCold is the tentpole number: a never-seen query on an
 // admitted, compiled session — every iteration misses the decision
 // cache and runs the full compiled fixpoint (bytecode condition tests,

@@ -21,10 +21,8 @@ package authz
 //     re-lint. Only passes are recorded — a failing chain re-lints and
 //     re-fails, keeping the denial path unamortised and fully traced.
 //
-// Both structures are epoch-guarded against the owning Engine the same
-// way the WebCom verdict bitmaps are: entries record the epoch they
-// were derived under and are invisible once Engine.Invalidate (fired by
-// every KeyCOM catalogue commit) bumps it. A credential minted or a
+// Both are EpochCache instances guarded by the owning Engine (see
+// cache.go), like the WebCom verdict sets: a credential minted or a
 // verdict stamped under policy N can never be honoured under policy
 // N+1.
 
@@ -32,8 +30,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
@@ -42,6 +38,9 @@ import (
 
 // DefaultMintCacheSize bounds the delegation mint cache.
 const DefaultMintCacheSize = 256
+
+// delegationVerdictsCap bounds a relint-skip table.
+const delegationVerdictsCap = 1024
 
 // scopeKey renders (delegate principal, scope) deterministically:
 // operations and domains are deduped and sorted, so two scopes that
@@ -76,20 +75,10 @@ func scopeKey(delegate string, scope DelegationScope) string {
 	return b.String()
 }
 
-// mintEntry is one cached minted credential with its epoch tag.
-type mintEntry struct {
-	epoch uint64
-	cred  *keynote.Assertion
-}
-
 // MintCache caches minted, mint-side-linted delegation credentials. It
 // is owned by the delegating master and safe for concurrent use.
 type MintCache struct {
-	engine *Engine // epoch source; nil pins epoch 0 (no invalidation)
-	tel    *telemetry.Registry
-
-	mu  sync.Mutex
-	lru *lruCache[*mintEntry]
+	lru *EpochCache[*keynote.Assertion]
 }
 
 // NewMintCache builds a mint cache guarded by engine's epoch (nil
@@ -99,14 +88,8 @@ func NewMintCache(engine *Engine, capacity int, tel *telemetry.Registry) *MintCa
 	if capacity <= 0 {
 		capacity = DefaultMintCacheSize
 	}
-	return &MintCache{engine: engine, tel: tel, lru: newLRUCache[*mintEntry](capacity)}
-}
-
-func (c *MintCache) epoch() uint64 {
-	if c.engine == nil {
-		return 0
-	}
-	return c.engine.Epoch()
+	return &MintCache{lru: NewEpochCache[*keynote.Assertion](engine, capacity, tel,
+		"authz.mint_cache.hits", "authz.mint_cache.misses")}
 }
 
 // Mint returns the delegation credential authorising delegate for
@@ -117,16 +100,10 @@ func (c *MintCache) epoch() uint64 {
 // is ever cached, so every cached entry is known-honourable.
 func (c *MintCache) Mint(parent *keys.KeyPair, delegate string, scope DelegationScope) (cred *keynote.Assertion, hit bool, err error) {
 	key := parent.PublicID() + "\x1e" + scopeKey(delegate, scope)
-	epoch := c.epoch()
-	c.mu.Lock()
-	if ent, ok := c.lru.get(key); ok && ent.epoch == epoch {
-		c.mu.Unlock()
-		c.tel.Counter("authz.mint_cache.hits").Inc()
-		return ent.cred, true, nil
+	cred, epoch, ok := c.lru.Get(key)
+	if ok {
+		return cred, true, nil
 	}
-	c.mu.Unlock()
-	c.tel.Counter("authz.mint_cache.misses").Inc()
-
 	cred, err = MintScopedDelegation(parent, delegate, scope)
 	if err != nil {
 		return nil, false, err
@@ -134,9 +111,7 @@ func (c *MintCache) Mint(parent *keys.KeyPair, delegate string, scope Delegation
 	if err := ValidateDelegation(parent.PublicID(), []*keynote.Assertion{cred}, scope); err != nil {
 		return nil, false, err
 	}
-	c.mu.Lock()
-	c.lru.put(key, &mintEntry{epoch: epoch, cred: cred})
-	c.mu.Unlock()
+	c.lru.Put(key, cred, epoch)
 	return cred, false, nil
 }
 
@@ -156,33 +131,18 @@ func delegationFingerprint(parent string, chain []*keynote.Assertion, scope Dele
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// delegVerdictMap is one immutable epoch's worth of passed lints;
-// updates copy-on-write so readers never lock.
-type delegVerdictMap struct {
-	epoch uint64
-	ok    map[string]struct{}
-}
-
 // DelegationVerdicts is the sub-master's relint-skip table: the set of
 // delegation-chain fingerprints that already linted clean in the
 // current epoch. A nil *DelegationVerdicts always lints.
 type DelegationVerdicts struct {
-	engine *Engine // epoch source; nil pins epoch 0
-	tel    *telemetry.Registry
-	cur    atomic.Pointer[delegVerdictMap]
+	passed *EpochCache[struct{}]
 }
 
 // NewDelegationVerdicts builds a relint-skip table guarded by engine's
 // epoch.
 func NewDelegationVerdicts(engine *Engine, tel *telemetry.Registry) *DelegationVerdicts {
-	return &DelegationVerdicts{engine: engine, tel: tel}
-}
-
-func (v *DelegationVerdicts) epoch() uint64 {
-	if v == nil || v.engine == nil {
-		return 0
-	}
-	return v.engine.Epoch()
+	return &DelegationVerdicts{passed: NewEpochCache[struct{}](engine, delegationVerdictsCap, tel,
+		"authz.relint.skips", "authz.relint.lints")}
 }
 
 // Validate runs ValidateDelegation, skipping the lint when this exact
@@ -195,44 +155,13 @@ func (v *DelegationVerdicts) Validate(parent string, chain []*keynote.Assertion,
 		return false, ValidateDelegation(parent, chain, scope)
 	}
 	fp := delegationFingerprint(parent, chain, scope)
-	epoch := v.epoch()
-	if cur := v.cur.Load(); cur != nil && cur.epoch == epoch {
-		if _, ok := cur.ok[fp]; ok {
-			v.tel.Counter("authz.relint.skips").Inc()
-			return true, nil
-		}
+	_, epoch, ok := v.passed.Get(fp)
+	if ok {
+		return true, nil
 	}
-	v.tel.Counter("authz.relint.lints").Inc()
 	if err := ValidateDelegation(parent, chain, scope); err != nil {
 		return false, err
 	}
-	v.stamp(fp, epoch)
+	v.passed.Put(fp, struct{}{}, epoch)
 	return false, nil
-}
-
-// stamp records a passed lint under its pre-lint epoch snapshot; a
-// stale snapshot drops the stamp on the floor — the next admission of
-// the same chain simply lints again.
-func (v *DelegationVerdicts) stamp(fp string, epoch uint64) {
-	if epoch != v.epoch() {
-		return
-	}
-	for {
-		cur := v.cur.Load()
-		var base map[string]struct{}
-		if cur != nil && cur.epoch == epoch {
-			if _, ok := cur.ok[fp]; ok {
-				return
-			}
-			base = cur.ok
-		}
-		next := &delegVerdictMap{epoch: epoch, ok: make(map[string]struct{}, len(base)+1)}
-		for k := range base {
-			next.ok[k] = struct{}{}
-		}
-		next.ok[fp] = struct{}{}
-		if v.cur.CompareAndSwap(cur, next) {
-			return
-		}
-	}
 }

@@ -2,7 +2,7 @@ package keynote
 
 // Static attribute-reference analysis over parsed Conditions programs.
 // internal/webcom uses it to decide which (principal, operation) verdicts
-// are safe to stamp into a session-admission bitmap: a verdict may be
+// are safe to stamp into a session-admission verdict set: a verdict may be
 // amortised across tasks only when every attribute the governing
 // assertions can read is fixed for the whole session, so the analysis
 // must report exactly what a program might look at — including the fact

@@ -101,7 +101,7 @@ type Client struct {
 	// authz engine at handshake; per-operation authorisation of the
 	// master is decided from its cache. Nil when Checker is nil.
 	session *authz.CredentialSession
-	// verdicts is the admission-time verdict bitmap for the current
+	// verdicts is the admission-time verdict set for the current
 	// session (see verdicts.go); nil when Checker is nil.
 	verdicts *verdictSet
 	addr     string
@@ -552,30 +552,19 @@ func (cl *Client) execute(m *msg) (result string, denied bool, err error) {
 	verdicts := cl.verdicts
 	cl.mu.Unlock()
 	if session != nil {
-		// Fast path: eligible sessions answer from the admission-time
-		// verdict bitmap (one atomic load); vUnknown falls back to the
-		// full cached decision and stamps the result.
-		switch verdicts.lookup(m.Op, m.Annotations) {
-		case vAllow:
-		case vDeny:
+		// Eligible sessions answer from the admission-time verdict set;
+		// the rest take the full cached decision.
+		allowed, d, err := verdicts.authorise(ctx, master, m.Op, m.Annotations, m.Args, cl.Audit(), master)
+		if err != nil {
+			return "", false, err
+		}
+		if !allowed {
 			cl.Tel.Counter("webcom.client.denials").Inc()
 			span.SetAttr("denied", "true")
-			return "", true, fmt.Errorf("client policy refuses master for op %s (admitted-session verdict)", m.Op)
-		default:
-			epoch := cl.Engine().Epoch()
-			d, err := session.Decide(ctx, taskQuery(master, m.Op, m.Annotations, m.Args))
-			if err != nil {
-				return "", false, err
+			if d == nil {
+				return "", true, fmt.Errorf("client policy refuses master for op %s (admitted-session verdict)", m.Op)
 			}
-			verdicts.stamp(m.Op, m.Annotations, d.Allowed, epoch)
-			if !d.Allowed {
-				if !d.Trace.CacheHit {
-					cl.Audit().Record(master, m.Op, d)
-				}
-				cl.Tel.Counter("webcom.client.denials").Inc()
-				span.SetAttr("denied", "true")
-				return "", true, fmt.Errorf("client policy refuses master for op %s (denied by %s)", m.Op, d.Trace.DeniedBy())
-			}
+			return "", true, fmt.Errorf("client policy refuses master for op %s (denied by %s)", m.Op, d.Trace.DeniedBy())
 		}
 	}
 

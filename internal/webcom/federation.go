@@ -68,32 +68,13 @@ func (m *Master) submasterCandidates(ctx context.Context, ops []string, annotati
 		if c.session != nil {
 			allowed := true
 			for _, op := range ops {
-				// Same admission-time bitmap the dispatch plane uses
-				// (verdicts.go): eligible sessions answer each op with one
-				// atomic load, epoch-invalidated by KeyCOM commits. vUnknown
-				// falls through to the full decision, which stamps the map.
-				switch c.verdicts.lookup(op, annotations) {
-				case vAllow:
-					continue
-				case vDeny:
+				// Same admission-time verdict set the dispatch plane uses
+				// (verdicts.go), epoch-invalidated by KeyCOM commits.
+				ok, _, err := c.verdicts.authorise(ctx, c.principal, op, annotations, nil, m.Audit(), c.name)
+				if err != nil || !ok {
 					allowed = false
-				default:
-					epoch := m.Engine().Epoch()
-					d, err := c.session.Decide(ctx, taskQuery(c.principal, op, annotations, nil))
-					if err != nil {
-						allowed = false
-						break
-					}
-					c.verdicts.stamp(op, annotations, d.Allowed, epoch)
-					if d.Allowed {
-						continue
-					}
-					if !d.Trace.CacheHit {
-						m.Audit().Record(c.name, op, d)
-					}
-					allowed = false
+					break
 				}
-				break
 			}
 			if !allowed {
 				continue

@@ -126,9 +126,9 @@ type masterClient struct {
 	// authz engine at handshake: signatures verified once, per-task
 	// decisions cached. Nil when the master has no checker.
 	session *authz.CredentialSession
-	// verdicts is the admission-time per-op verdict bitmap (verdicts.go):
-	// eligible sessions answer steady-state authorisation with one atomic
-	// load. Nil when the master has no checker.
+	// verdicts is the admission-time per-op verdict set (verdicts.go):
+	// eligible sessions answer steady-state authorisation with one
+	// per-connection map lookup. Nil when the master has no checker.
 	verdicts *verdictSet
 	sem      chan struct{} // in-flight slots (backpressure)
 	died     chan struct{} // closed when the connection is declared dead
@@ -431,7 +431,7 @@ func (m *Master) handleClient(c *conn) {
 	}
 	// Admit the credential set now (one signature verification per
 	// credential); the dispatch path consults the admission-time verdict
-	// bitmap, falling back to the decision cache.
+	// set, falling back to the decision cache.
 	if eng := m.Engine(); eng != nil {
 		mc.session = eng.Session(creds)
 		mc.verdicts = newVerdictSet(eng, mc.session)
@@ -615,34 +615,19 @@ func (m *Master) authorisedClients(ctx context.Context, t cg.Task, scratch []*ma
 			out = append(out, c)
 			continue
 		}
-		// Fast path: the admission-time verdict bitmap answers eligible
-		// sessions with one atomic load — no query build, no cache
-		// probe. vUnknown (ineligible session, new op, stale epoch, or
-		// annotation shadowing) falls through to the full decision.
-		switch c.verdicts.lookup(t.OpName, t.Annotations) {
-		case vAllow:
-			out = append(out, c)
-			continue
-		case vDeny:
-			// Audited when the verdict was stamped; still counted.
-			m.Tel.Counter("webcom.denials").Inc()
-			continue
-		}
-		epoch := m.Engine().Epoch()
-		d, err := c.session.Decide(ctx, taskQuery(c.principal, t.OpName, t.Annotations, t.Args))
+		// The admission-time verdict set answers eligible sessions with
+		// no query build and no shared-cache probe; the rest (ineligible
+		// session, new op, stale epoch, annotation shadowing) take the
+		// full decision.
+		allowed, _, err := c.verdicts.authorise(ctx, c.principal, t.OpName, t.Annotations, t.Args, m.Audit(), c.name)
 		if err != nil {
 			return nil, len(all), err
 		}
-		if d.Allowed {
+		if allowed {
 			out = append(out, c)
 		} else {
 			m.Tel.Counter("webcom.denials").Inc()
-			if !d.Trace.CacheHit {
-				// Log each distinct denial once (cache hits are repeats).
-				m.Audit().Record(c.name, t.OpName, d)
-			}
 		}
-		c.verdicts.stamp(t.OpName, t.Annotations, d.Allowed, epoch)
 	}
 	return m.orderByLoad(out), len(all), nil
 }

@@ -6,12 +6,13 @@ package webcom
 // traffic the decision is a pure function of (connection, operation):
 // the credential set is fixed at handshake and the governing assertions
 // read only attributes that are constant for the session. For exactly
-// those sessions we stamp each operation's verdict into a lock-free
-// per-connection map the first time it is decided, and the hot path
-// becomes one atomic load — no canonical query, no lock, no allocation.
+// those sessions we stamp each operation's verdict into a small
+// per-connection cache the first time it is decided, and the hot path
+// becomes one map lookup under the connection's own lock — no canonical
+// query, no shared cache, no allocation.
 //
-// Soundness is the whole game here, and three guards keep the bitmap
-// honest:
+// Soundness is the whole game here, and three guards keep the verdict
+// set honest:
 //
 //  1. Eligibility. At admission we statically analyse every Conditions
 //     program in the engine's policy and the session's admitted
@@ -29,32 +30,27 @@ package webcom
 //     take the slow path for a task whose annotations touch any
 //     referenced attribute name.
 //
-//  3. Epoch invalidation. KeyCOM commit hooks fire Engine.Invalidate,
-//     which bumps the engine epoch. A verdict is stamped only if the
-//     epoch still equals its pre-Decide snapshot, and looked up only if
-//     its map's epoch equals the current one — a decision computed
-//     under epoch N can never answer a query in epoch N+1.
+//  3. Epoch invalidation. The set is an authz.EpochCache guarded by the
+//     engine; its contract (cache.go in package authz, DESIGN.md §8)
+//     means a decision computed under epoch N can never answer a query
+//     in epoch N+1.
 //
-// The denial-never-retried invariant is untouched: a vDeny hit returns
-// the same ErrTaskDenied the slow path would, and the denial audit
-// fires exactly once, when the verdict is first decided (slow path).
+// The denial-never-retried invariant is untouched: a stamped denial
+// returns the same ErrTaskDenied the slow path would, and the denial
+// audit fires exactly once, when the verdict is first decided (slow
+// path).
 
 import (
-	"sync/atomic"
+	"context"
 
 	"securewebcom/internal/authz"
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/translate"
 )
 
-// opVerdict is one stamped authorisation outcome.
-type opVerdict uint8
-
-const (
-	vUnknown opVerdict = iota // not yet decided, or bitmap ineligible/stale
-	vAllow
-	vDeny
-)
+// verdictSetCap bounds a connection's verdict set (one entry per
+// distinct operation decided).
+const verdictSetCap = 1024
 
 // sessionConstantAttrs are the query attributes that cannot change for
 // the lifetime of an admitted session: a Conditions program confined to
@@ -70,27 +66,18 @@ var sessionConstantAttrs = map[string]struct{}{
 	"_ACTION_AUTHORIZERS":    {},
 }
 
-// verdictMap is one immutable epoch's worth of stamped verdicts;
-// updates copy-on-write so readers never lock.
-type verdictMap struct {
-	epoch uint64
-	ops   map[string]opVerdict
-}
-
-// verdictSet is a connection's admission-time verdict bitmap. A nil
-// *verdictSet behaves as permanently ineligible.
+// verdictSet is a connection's admitted session plus its
+// admission-time verdicts: allowed-or-not per operation.
 type verdictSet struct {
-	engine   *authz.Engine
-	eligible bool
-	refs     map[string]struct{} // attributes the governing assertions read
-	cur      atomic.Pointer[verdictMap]
+	session *authz.CredentialSession
+	refs    map[string]struct{}     // attributes the governing assertions read
+	ops     *authz.EpochCache[bool] // nil when the session is ineligible
 }
 
 // newVerdictSet analyses the engine policy plus the session's admitted
-// credentials and returns the connection's bitmap, eligible only when
-// every governing assertion is provably session-constant.
+// credentials and returns the connection's verdict set, stamping only
+// when every governing assertion is provably session-constant.
 func newVerdictSet(engine *authz.Engine, session *authz.CredentialSession) *verdictSet {
-	vs := &verdictSet{engine: engine}
 	refs := keynote.AttrRefs{Names: make(map[string]struct{})}
 	collect := func(as []*keynote.Assertion) {
 		for _, a := range as {
@@ -103,66 +90,48 @@ func newVerdictSet(engine *authz.Engine, session *authz.CredentialSession) *verd
 	}
 	collect(engine.Checker().Policy())
 	collect(session.Admitted())
-	vs.refs = refs.Names
-	vs.eligible = refs.Subset(sessionConstantAttrs)
-	if vs.eligible {
-		vs.cur.Store(&verdictMap{epoch: engine.Epoch(), ops: make(map[string]opVerdict)})
+	vs := &verdictSet{session: session, refs: refs.Names}
+	if refs.Subset(sessionConstantAttrs) {
+		vs.ops = authz.NewEpochCache[bool](engine, verdictSetCap, nil, "", "")
 	}
 	return vs
 }
 
-// lookup returns the stamped verdict for op, or vUnknown when the
-// session is ineligible, the bitmap is stale, the task's annotations
-// shadow a referenced attribute, or the operation was never decided.
-func (v *verdictSet) lookup(op string, annotations map[string]string) opVerdict {
-	if v == nil || !v.eligible {
-		return vUnknown
-	}
-	cur := v.cur.Load()
-	if cur == nil || cur.epoch != v.engine.Epoch() {
-		return vUnknown
-	}
-	for k := range annotations {
-		if _, ok := v.refs[k]; ok {
-			return vUnknown
+// authorise answers whether the session's principal may run op: from
+// the stamped verdict when there is one, else through session.Decide,
+// whose result is stamped under the epoch read before deciding. A
+// freshly computed denial (not a decision-cache hit) is recorded in
+// audit against peer, so each distinct denial is audited once. d is nil
+// when the answer came from a stamped verdict.
+func (v *verdictSet) authorise(ctx context.Context, principal, op string, annotations map[string]string, args []string, audit *authz.AuditLog, peer string) (allowed bool, d *authz.Decision, err error) {
+	stampable := v.ops != nil && !v.shadowed(annotations)
+	var epoch uint64
+	if stampable {
+		var ok bool
+		if allowed, epoch, ok = v.ops.Get(op); ok {
+			return allowed, nil, nil
 		}
 	}
-	return cur.ops[op]
+	d, err = v.session.Decide(ctx, taskQuery(principal, op, annotations, args))
+	if err != nil {
+		return false, nil, err
+	}
+	if stampable {
+		v.ops.Put(op, d.Allowed, epoch)
+	}
+	if !d.Allowed && !d.Trace.CacheHit {
+		audit.Record(peer, op, d)
+	}
+	return d.Allowed, d, nil
 }
 
-// stamp records a slow-path decision made under the given pre-Decide
-// epoch snapshot. A stale snapshot, an ineligible session, or an
-// annotation collision drops the stamp on the floor — the next task
-// simply decides again.
-func (v *verdictSet) stamp(op string, annotations map[string]string, allowed bool, epoch uint64) {
-	if v == nil || !v.eligible || epoch != v.engine.Epoch() {
-		return
-	}
+// shadowed reports whether the task's annotations touch an attribute
+// the governing assertions read.
+func (v *verdictSet) shadowed(annotations map[string]string) bool {
 	for k := range annotations {
 		if _, ok := v.refs[k]; ok {
-			return
+			return true
 		}
 	}
-	verdict := vDeny
-	if allowed {
-		verdict = vAllow
-	}
-	for {
-		cur := v.cur.Load()
-		var base map[string]opVerdict
-		if cur != nil && cur.epoch == epoch {
-			if cur.ops[op] == verdict {
-				return
-			}
-			base = cur.ops
-		}
-		next := &verdictMap{epoch: epoch, ops: make(map[string]opVerdict, len(base)+1)}
-		for k, val := range base {
-			next.ops[k] = val
-		}
-		next.ops[op] = verdict
-		if v.cur.CompareAndSwap(cur, next) {
-			return
-		}
-	}
+	return false
 }
