@@ -58,6 +58,17 @@ import (
 // drainTimeout bounds the graceful drain of in-flight requests.
 const drainTimeout = 5 * time.Second
 
+// HTTP server limits. A client gets readHeaderTimeout to send its whole
+// request header, so a slow-header (slowloris) client cannot pin a
+// connection; an idle keep-alive connection is closed after
+// idleTimeout; a request header larger than maxHeaderBytes is refused
+// (a bearer JWT plus the usual headers needs a few KiB).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 type config struct {
 	addr        string
 	issuer      string
@@ -216,7 +227,12 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 		fmt.Fprintf(out, "demo hs256 secret: %s\n", hex.EncodeToString(hsSecret))
 	}
 
-	hsrv := &http.Server{Handler: mux}
+	hsrv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	served := make(chan error, 1)
 	go func() { served <- hsrv.Serve(ln) }()
 

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -314,5 +315,55 @@ func TestAuthzdDemoSecret(t *testing.T) {
 	upd := keycom.UpdateRequest{Requester: "nobody"}
 	if resp, raw = d.post("/v1/credentials", "", &upd); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("credentials without a plane: %d %s", resp.StatusCode, raw)
+	}
+}
+
+// TestAuthzdServerLimits: a client that never finishes its request
+// header is disconnected once readHeaderTimeout passes, an oversized
+// header is refused, and a normal decide beside them still succeeds.
+func TestAuthzdServerLimits(t *testing.T) {
+	d := startDaemon(t, config{addr: "127.0.0.1:0", issuer: "demo"})
+	line := d.waitLine("demo hs256 secret: ")
+	secret, err := hex.DecodeString(strings.TrimPrefix(line, "demo hs256 secret: "))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	slow, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "POST /v1/decide HTTP/1.1\r\nHost: authzd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	tok := mintHS256(t, secret, "demo", "bob", "echo")
+	if resp, raw := d.post("/v1/decide", tok, map[string]any{"operation": "echo"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("decide beside a slow client: %d %s", resp.StatusCode, raw)
+	}
+
+	const slack = 3 * time.Second
+	slow.SetReadDeadline(time.Now().Add(readHeaderTimeout + slack))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("partial-header connection not closed within %v: %v", readHeaderTimeout+slack, err)
+	}
+	if held := time.Since(start); held < readHeaderTimeout-time.Second {
+		t.Fatalf("partial-header connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, d.url("/healthz"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: %d, want 431", resp.StatusCode)
 	}
 }

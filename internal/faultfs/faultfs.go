@@ -87,6 +87,33 @@ type FS interface {
 	MkdirAll(dir string, perm os.FileMode) error
 }
 
+// WriteFileAtomic replaces name with data so that a crash at any point
+// leaves either the old content or the new, never a mix: data goes to
+// name+".tmp", which is fsynced, closed and renamed over name. On
+// failure the temporary file is removed. A crash can still strand it;
+// a writer that reopens the directory may delete it, since it was never
+// renamed into place.
+func WriteFileAtomic(fsys FS, name string, data []byte, perm os.FileMode) error {
+	tmp := name + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, name)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+	}
+	return err
+}
+
 // ---- Real disk ----
 
 // OS is the pass-through FS backed by the real operating system.

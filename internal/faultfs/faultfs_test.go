@@ -256,3 +256,48 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteFileAtomicAllOrNothing replaces a durable file under every
+// fault the plan can schedule on every operation of the replace: after
+// the reboot the file holds the old content or the new, never a mix,
+// and an ENOSPC refusal leaves the old content and no temporary file.
+func TestWriteFileAtomicAllOrNothing(t *testing.T) {
+	const old, nu = "old content", "new content, longer than the old"
+	seed := func(m *MemFS) {
+		if err := WriteFileAtomic(m, "snap.json", []byte(old), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean := NewMemFS()
+	seed(clean)
+	before := clean.Ops()
+	if err := WriteFileAtomic(clean, "snap.json", []byte(nu), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := clean.ReadFile("snap.json"); string(got) != nu {
+		t.Fatalf("replaced content = %q", got)
+	}
+	if files := clean.Files(); len(files) != 1 {
+		t.Fatalf("files after replace = %v, want only snap.json", files)
+	}
+	for _, mode := range []Mode{CrashHard, CrashTornWrite, CrashPartialFsync, ENOSPC} {
+		for op := before + 1; op <= clean.Ops(); op++ {
+			m := NewMemFS()
+			seed(m)
+			m.SetPlan(&CrashPlan{Op: op, Mode: mode, Seed: int64(op)})
+			err := WriteFileAtomic(m, "snap.json", []byte(nu), 0o600)
+			if err == nil {
+				t.Fatalf("%v at op %d: replace reported success", mode, op)
+			}
+			if mode == ENOSPC {
+				if files := m.Files(); len(files) != 1 {
+					t.Fatalf("ENOSPC at op %d left %v", op, files)
+				}
+			}
+			m.Recover()
+			if got, _ := m.ReadFile("snap.json"); string(got) != old && string(got) != nu {
+				t.Fatalf("%v at op %d: snap.json = %q, want old or new", mode, op, got)
+			}
+		}
+	}
+}

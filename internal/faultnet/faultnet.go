@@ -359,21 +359,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 func (in *Injector) countSwallowed(n int64) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	in.stats.SwallowedBytes += n
-	in.mu.Unlock()
 	in.cfg.Tel.Counter("faultnet.swallowed.bytes").Add(n)
 }
 
 func (in *Injector) countCorrupted() {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	in.stats.CorruptedWrites++
-	in.mu.Unlock()
 	in.cfg.Tel.Counter("faultnet.corrupted.writes").Inc()
 }
 
 func (in *Injector) countDrop() {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	in.stats.DroppedConns++
-	in.mu.Unlock()
 	in.cfg.Tel.Counter("faultnet.dropped.conns").Inc()
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"securewebcom/internal/faultfs"
 )
@@ -126,61 +127,37 @@ func VerifyStoreAudit(fsys faultfs.FS, dir string) ([]AuditRecord, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	readIfPresent := func(name string) ([]byte, error) {
-		data, err := fsys.ReadFile(dir + "/" + name)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		return data, nil
-	}
-	auditData, err := readIfPresent(auditFileName)
-	if err != nil {
+	auditData, err := fsys.ReadFile(filepath.Join(dir, auditFileName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	chain, err := VerifyAuditChain(auditData)
 	if err != nil {
 		return chain, err
 	}
-	var snapSeq uint64
-	snapData, err := readIfPresent(snapFileName)
+	img, err := loadLog[storeSnapshot, walRecord](fsys, filepath.Join(dir, snapFileName), filepath.Join(dir, walFileName))
 	if err != nil {
 		return chain, err
 	}
-	if len(snapData) > 0 {
-		var snap storeSnapshot
-		if err := json.Unmarshal(snapData, &snap); err != nil {
-			return chain, fmt.Errorf("keycom: snapshot unreadable: %w", err)
-		}
-		snapSeq = snap.Seq
+	if snapSeq := img.base; snapSeq >= 1 {
 		if uint64(len(chain)) < snapSeq {
 			return chain, fmt.Errorf("%w: chain has %d records, snapshot anchors seq %d",
 				ErrAuditTruncated, len(chain), snapSeq)
 		}
-		if snapSeq >= 1 && chain[snapSeq-1].Hash != snap.AuditHead {
+		if chain[snapSeq-1].Hash != img.snap.AuditHead {
 			return chain, fmt.Errorf("%w: chain head at seq %d does not match the snapshot anchor",
 				ErrAuditTampered, snapSeq)
 		}
 	}
-	walData, err := readIfPresent(walFileName)
-	if err != nil {
-		return chain, err
-	}
-	recs, _, werr := parseWAL(walData, snapSeq)
-	if werr != nil {
-		return chain, werr
-	}
-	walHead := snapSeq
-	if len(recs) > 0 {
-		walHead = recs[len(recs)-1].Seq
+	walHead := img.base
+	if len(img.recs) > 0 {
+		walHead = img.recs[len(img.recs)-1].Seq
 	}
 	if uint64(len(chain))+1 < walHead {
 		return chain, fmt.Errorf("%w: chain has %d records, wal anchors seq %d",
 			ErrAuditTruncated, len(chain), walHead)
 	}
-	for _, r := range recs {
+	for _, r := range img.recs {
 		if r.Seq <= uint64(len(chain)) && chain[r.Seq-1].Hash != r.Audit.Hash {
 			return chain, fmt.Errorf("%w: record %d does not match the wal's embedded digest",
 				ErrAuditTampered, r.Seq)
@@ -191,50 +168,31 @@ func VerifyStoreAudit(fsys faultfs.FS, dir string) ([]AuditRecord, error) {
 
 // auditLog is the open append-only chain file.
 type auditLog struct {
-	f    faultfs.File
-	size int64 // bytes of acknowledged records
+	*appendFile
 	head string
 }
 
-// openAudit opens (creating if absent) the audit log for appending.
-// size and head must be the verified length and chain head recovery
-// established.
+// openAudit opens (creating if absent) the audit log for appending at
+// size, cutting a torn tail. size and head must be the verified length
+// and chain head recovery established.
 func openAudit(fsys faultfs.FS, path string, size int64, head string) (*auditLog, error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := openAppend(fsys, path, size)
 	if err != nil {
-		return nil, fmt.Errorf("keycom: open audit log: %w", err)
+		return nil, err
 	}
-	return &auditLog{f: f, size: size, head: head}, nil
+	return &auditLog{appendFile: f, head: head}, nil
 }
 
-// append writes and fsyncs one sealed record. Like the WAL, a failed
-// append rewinds to the last acknowledged record.
+// append writes and fsyncs one sealed record with the same
+// rewind-on-failure contract as the WAL.
 func (a *auditLog) append(rec *AuditRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("keycom: encode audit record: %w", err)
 	}
-	line = append(line, '\n')
-	_, werr := a.f.Write(line)
-	if werr == nil {
-		werr = a.f.Sync()
+	if err := a.appendFile.append(append(line, '\n')); err != nil {
+		return fmt.Errorf("keycom: audit append: %w", err)
 	}
-	if werr != nil {
-		if terr := a.f.Truncate(a.size); terr != nil {
-			return fmt.Errorf("keycom: audit append failed (%w) and rewind failed (%v): log unusable", werr, terr)
-		}
-		return fmt.Errorf("keycom: audit append: %w", werr)
-	}
-	a.size += int64(len(line))
 	a.head = rec.Hash
 	return nil
-}
-
-func (a *auditLog) close() error {
-	if a.f == nil {
-		return nil
-	}
-	err := a.f.Close()
-	a.f = nil
-	return err
 }

@@ -35,7 +35,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good, err := parseWAL(data, 0)
+		recs, good, err := parseWAL[walRecord](data, 0)
 		if good < 0 || good > len(data) {
 			t.Fatalf("good prefix %d out of range [0,%d]", good, len(data))
 		}
@@ -53,7 +53,7 @@ func FuzzWALReplay(f *testing.F) {
 			last = r.Seq
 		}
 		// Replay of the accepted prefix is stable: same records, no tail.
-		recs2, good2, err2 := parseWAL(data[:good], 0)
+		recs2, good2, err2 := parseWAL[walRecord](data[:good], 0)
 		if err2 != nil || good2 != good || len(recs2) != len(recs) {
 			t.Fatalf("reparse of good prefix diverged: %d/%d records, %d/%d bytes, %v",
 				len(recs2), len(recs), good2, good, err2)

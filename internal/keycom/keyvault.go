@@ -1,33 +1,25 @@
 package keycom
 
-// The durable keystore. KeyCOM's catalogue state became crash-safe via
-// snapshot + WAL; the keys the catalogue's principals actually sign
-// with lived only in memory (or in ad-hoc keys.Save files with no
-// atomicity story). KeyVault closes that gap with the same machinery
-// and the same invariant — recovered state is exactly the acknowledged
-// history:
+// The durable keystore. KeyCOM's catalogue state is crash-safe through
+// the durable log (log.go); KeyVault is the log's second instance, for
+// the keys the catalogue's principals sign with, which otherwise live
+// only in memory or in keys.Save files:
 //
-//	vault.json — every registered key pair as of some acknowledged
-//	             sequence number (atomically replaced: tmp + fsync +
-//	             rename);
-//	vault.wal  — one checksummed frame per key registered since the
-//	             snapshot, fsynced before Put is acknowledged.
+//	vault.json — the log's snapshot: every registered key pair as of
+//	             some acknowledged sequence number;
+//	vault.wal  — the log's WAL: one frame per key registered since the
+//	             snapshot.
 //
-// Recovery loads the snapshot, replays the contiguous WAL suffix,
-// truncates a torn tail (a crash mid-append loses only the
-// unacknowledged key), and refuses a sequence gap in acknowledged
-// history. Private keys are stored hex-encoded exactly as keys.Save
+// The log supplies recovery, fsync-before-acknowledge and the broken
+// latch; the vault adds the record ↔ KeyPair conversion (validated on
+// load exactly as keys.Load validates a key file) and snapshot
+// compaction. Private keys are stored hex-encoded exactly as keys.Save
 // writes them; the vault directory and its files are created 0700/0600.
 
 import (
 	"crypto/ed25519"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 
 	"securewebcom/internal/faultfs"
 	"securewebcom/internal/keys"
@@ -40,6 +32,15 @@ const (
 	vaultWALName  = "vault.wal"
 )
 
+// vaultLog is the key vault's instance of the durable log.
+var vaultLog = logConfig{
+	snapName:   vaultSnapName,
+	walName:    vaultWALName,
+	metric:     "keycom.vault",
+	walMetric:  "keycom.vault.wal",
+	tornMetric: "keycom.vault.torn.bytes",
+}
+
 // vaultRecord is one WAL frame: a single registered key pair.
 type vaultRecord struct {
 	Seq     uint64 `json:"seq"`
@@ -48,11 +49,15 @@ type vaultRecord struct {
 	Private string `json:"private,omitempty"`
 }
 
+func (r vaultRecord) sequence() uint64 { return r.Seq }
+
 // vaultSnapshot is the vault.json payload.
 type vaultSnapshot struct {
 	Seq  uint64        `json:"seq"`
 	Keys []vaultRecord `json:"keys"`
 }
+
+func (s vaultSnapshot) sequence() uint64 { return s.Seq }
 
 // KeyVaultOptions configures OpenKeyVault. The zero value is usable:
 // real disk, default snapshot cadence, no telemetry.
@@ -83,132 +88,44 @@ type VaultRecovery struct {
 // WAL-appended and fsynced before it is acknowledged. Safe for
 // concurrent use; reads go straight to the in-memory store.
 type KeyVault struct {
-	dir       string
-	fs        faultfs.FS
-	tel       *telemetry.Registry
-	snapEvery int
-
-	mu        sync.Mutex
-	store     *keys.KeyStore
-	seq       uint64
-	recs      []vaultRecord // acknowledged records, snapshot order
-	wal       *wal
-	sinceSnap int
-	broken    error
-	rec       VaultRecovery
+	*durableLog // its mu guards recs
+	store       *keys.KeyStore
+	recs        []vaultRecord // acknowledged records, snapshot order
 }
 
 // OpenKeyVault opens (creating if absent) the vault in dir and recovers
 // it to the last acknowledged key.
 func OpenKeyVault(dir string, opts KeyVaultOptions) (*KeyVault, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS{}
+	l, img, err := openLog[vaultSnapshot, vaultRecord](opts.FS, dir, vaultLog, opts.Tel, opts.SnapshotEvery)
+	if err != nil {
+		return nil, err
 	}
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = DefaultSnapshotEvery
+	v := &KeyVault{durableLog: l, store: keys.NewKeyStore()}
+	for _, r := range img.snap.Keys {
+		if err := v.load(r); err != nil {
+			return nil, fmt.Errorf("keycom: vault snapshot: %w", err)
+		}
 	}
-	if err := fsys.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("keycom: vault dir: %w", err)
+	for _, r := range img.recs {
+		if err := v.load(r); err != nil {
+			return nil, fmt.Errorf("%w: vault record %d: %v", ErrWALCorrupt, r.Seq, err)
+		}
 	}
-	v := &KeyVault{
-		dir:       dir,
-		fs:        fsys,
-		tel:       opts.Tel,
-		snapEvery: snapEvery,
-		store:     keys.NewKeyStore(),
-	}
-	// A crash mid-snapshot strands the tmp file; it was never renamed,
-	// so it is dead weight.
-	tmp := v.path(vaultSnapName) + ".tmp"
-	if _, err := fsys.Stat(tmp); err == nil {
-		_ = fsys.Remove(tmp)
-	}
-	if err := v.recover(); err != nil {
+	if err := l.start(v.snapshotState); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-func (v *KeyVault) path(name string) string { return filepath.Join(v.dir, name) }
-
-// recover loads snapshot + WAL into memory, truncating a torn tail and
-// refusing a sequence gap in acknowledged history.
-func (v *KeyVault) recover() error {
-	var base uint64
-	if data, err := v.fs.ReadFile(v.path(vaultSnapName)); err == nil {
-		var snap vaultSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("keycom: vault snapshot unreadable: %w", err)
-		}
-		for _, r := range snap.Keys {
-			kp, err := recordKeyPair(r)
-			if err != nil {
-				return fmt.Errorf("keycom: vault snapshot: %w", err)
-			}
-			v.store.Add(kp)
-			v.recs = append(v.recs, r)
-		}
-		base = snap.Seq
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("keycom: read vault snapshot: %w", err)
-	}
-	v.rec.SnapshotSeq = base
-	v.seq = base
-
-	walData, err := v.fs.ReadFile(v.path(vaultWALName))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("keycom: read vault wal: %w", err)
-	}
-	last := base
-	var scanErr error
-	good := scanFrames(walData, func(payload []byte) bool {
-		var r vaultRecord
-		if json.Unmarshal(payload, &r) != nil {
-			return false
-		}
-		if r.Seq <= base {
-			return true // pre-snapshot history awaiting truncation
-		}
-		if r.Seq != last+1 {
-			scanErr = fmt.Errorf("%w: vault record seq %d after %d", ErrWALCorrupt, r.Seq, last)
-			return false
-		}
-		kp, err := recordKeyPair(r)
-		if err != nil {
-			scanErr = fmt.Errorf("%w: vault record %d: %v", ErrWALCorrupt, r.Seq, err)
-			return false
-		}
-		last = r.Seq
-		v.store.Add(kp)
-		v.recs = append(v.recs, r)
-		v.rec.Replayed++
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	// Unlike the catalogue store, the vault has no audit chain to
-	// cross-check replay length against, so mid-history damage must be
-	// caught here: a genuine crash tears at most the final append.
-	if !tornTailIsFinal(walData[good:]) {
-		return fmt.Errorf("%w: intact frames beyond a damaged record", ErrWALCorrupt)
-	}
-	v.seq = last
-	v.rec.TornWALBytes = int64(len(walData) - good)
-
-	w, err := openWAL(v.fs, v.path(vaultWALName), int64(good), v.tel, "keycom.vault.wal")
+// load registers one recovered record, refusing a key pair that does
+// not validate.
+func (v *KeyVault) load(r vaultRecord) error {
+	kp, err := recordKeyPair(r)
 	if err != nil {
 		return err
 	}
-	if err := w.rewind(int64(good)); err != nil {
-		w.close()
-		return fmt.Errorf("keycom: truncate torn vault wal tail: %w", err)
-	}
-	v.wal = w
-	v.tel.Counter("keycom.vault.replayed").Add(int64(v.rec.Replayed))
-	v.tel.Counter("keycom.vault.torn.bytes").Add(v.rec.TornWALBytes)
+	v.store.Add(kp)
+	v.recs = append(v.recs, r)
 	return nil
 }
 
@@ -244,53 +161,25 @@ func (v *KeyVault) Store() *keys.KeyStore { return v.store }
 // name replaces the binding (like keys.KeyStore.Add) and is logged as a
 // fresh record.
 func (v *KeyVault) Put(kp *keys.KeyPair) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.broken != nil {
-		return fmt.Errorf("%w: %v", ErrStoreBroken, v.broken)
-	}
-	r := vaultRecord{Seq: v.seq + 1, Name: kp.Name, Public: kp.PublicID()}
+	r := vaultRecord{Name: kp.Name, Public: kp.PublicID()}
 	if kp.Private != nil {
 		r.Private = hex.EncodeToString(kp.Private)
 	}
-	payload, err := json.Marshal(&r)
-	if err != nil {
-		return fmt.Errorf("keycom: encode vault record: %w", err)
-	}
-	if err := v.wal.appendFrame(encodeFrame(payload)); err != nil {
-		if strings.Contains(err.Error(), "log unusable") {
-			v.broken = err
-		}
-		return err
-	}
-	v.store.Add(kp)
-	v.seq = r.Seq
-	v.recs = append(v.recs, r)
-	v.sinceSnap++
-	if v.snapEvery > 0 && v.sinceSnap >= v.snapEvery {
-		if err := v.snapshotLocked(); err != nil {
-			// The Put is already acknowledged; a failed snapshot only
-			// means the WAL keeps growing until one succeeds.
-			v.tel.Counter("keycom.vault.snapshot.errors").Inc()
-		}
-	}
-	return nil
+	_, err := v.commit(func(seq uint64) any {
+		r.Seq = seq
+		return &r
+	}, func() error {
+		v.store.Add(kp)
+		v.recs = append(v.recs, r)
+		return nil
+	})
+	return err
 }
 
-// Snapshot writes the full keystore to vault.json and truncates the
-// WAL. Callers need no lock.
-func (v *KeyVault) Snapshot() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.broken != nil {
-		return fmt.Errorf("%w: %v", ErrStoreBroken, v.broken)
-	}
-	return v.snapshotLocked()
-}
-
-func (v *KeyVault) snapshotLocked() error {
-	// Compact: a replaced binding's older records are dead weight — only
-	// the last record per name survives into the snapshot.
+// snapshotState is the vault.json payload at seq. It compacts first: a
+// replaced binding's older records are dead weight, so only the last
+// record per name survives into the snapshot.
+func (v *KeyVault) snapshotState(seq uint64) any {
 	lastIdx := make(map[string]int, len(v.recs))
 	for i, r := range v.recs {
 		lastIdx[r.Name] = i
@@ -304,62 +193,11 @@ func (v *KeyVault) snapshotLocked() error {
 		}
 		v.recs = compact
 	}
-	snap := vaultSnapshot{Seq: v.seq, Keys: v.recs}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("keycom: encode vault snapshot: %w", err)
-	}
-	tmp := v.path(vaultSnapName) + ".tmp"
-	f, err := v.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("keycom: vault snapshot: %w", err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = v.fs.Remove(tmp)
-		return fmt.Errorf("keycom: vault snapshot: %w", err)
-	}
-	if err := v.fs.Rename(tmp, v.path(vaultSnapName)); err != nil {
-		_ = v.fs.Remove(tmp)
-		return fmt.Errorf("keycom: vault snapshot rename: %w", err)
-	}
-	// As for the catalogue store: a failed truncate is benign, surviving
-	// frames carry seq <= snapshot seq and replay skips them.
-	if err := v.wal.rewind(0); err != nil {
-		v.sinceSnap = 0
-		return fmt.Errorf("keycom: truncate vault wal after snapshot: %w", err)
-	}
-	v.sinceSnap = 0
-	v.tel.Counter("keycom.vault.snapshots").Inc()
-	return nil
-}
-
-// Seq returns the last acknowledged sequence number.
-func (v *KeyVault) Seq() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.seq
+	return &vaultSnapshot{Seq: seq, Keys: v.recs}
 }
 
 // RecoveryInfo reports what OpenKeyVault found and repaired.
 func (v *KeyVault) RecoveryInfo() VaultRecovery {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.rec
-}
-
-// Close closes the WAL. Every acknowledged Put is already durable, so
-// Close flushes nothing.
-func (v *KeyVault) Close() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.wal != nil {
-		return v.wal.close()
-	}
-	return nil
+	ri := v.durableLog.RecoveryInfo()
+	return VaultRecovery{SnapshotSeq: ri.SnapshotSeq, Replayed: ri.Replayed, TornWALBytes: ri.TornWALBytes}
 }

@@ -1,13 +1,9 @@
 package keycom
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"securewebcom/internal/faultfs"
@@ -15,17 +11,17 @@ import (
 	"securewebcom/internal/telemetry"
 )
 
-// The durable catalogue store. A Store owns one directory:
+// The durable catalogue store: an instance of the durable log (log.go)
+// plus the audit chain. A Store owns one directory:
 //
-//	snapshot.json — the catalogue state and audit head as of some
-//	                committed sequence number (atomically replaced:
-//	                tmp + fsync + rename);
-//	wal.log       — checksummed frames for every commit past the
-//	                snapshot, fsynced before the commit is acknowledged;
+//	snapshot.json — the log's snapshot: the catalogue state and audit
+//	                head as of some committed sequence number;
+//	wal.log       — the log's WAL: one frame per commit past the
+//	                snapshot;
 //	audit.log     — the append-only hash chain, one line per commit,
 //	                never truncated.
 //
-// Commit protocol (under the store lock): seal the audit record against
+// Commit protocol (under the log lock): seal the audit record against
 // the current chain head, append-and-fsync the WAL frame (which embeds
 // the audit record), append-and-fsync the audit line, then apply the
 // diff to the in-memory policy and sharded index. A failure between the
@@ -50,12 +46,14 @@ const (
 	auditFileName = "audit.log"
 )
 
-// DefaultSnapshotEvery is the commit count between automatic snapshots.
-const DefaultSnapshotEvery = 64
-
-// ErrStoreBroken wraps the first unrecoverable log error; every later
-// commit is refused until the process restarts and recovery re-anchors.
-var ErrStoreBroken = errors.New("keycom: store broken, restart required")
+// storeLog is the catalogue's instance of the durable log.
+var storeLog = logConfig{
+	snapName:   snapFileName,
+	walName:    walFileName,
+	metric:     "keycom.store",
+	walMetric:  "keycom.wal",
+	tornMetric: "keycom.wal.torn.bytes",
+}
 
 // StoreOptions configures OpenStore. The zero value is usable: real
 // disk, default snapshot cadence, wall clock, no telemetry.
@@ -92,21 +90,11 @@ type RecoveryInfo struct {
 // sharded read index, backed by the snapshot + WAL + audit-chain files.
 // It is safe for concurrent use.
 type Store struct {
-	dir       string
-	fs        faultfs.FS
-	tel       *telemetry.Registry
-	snapEvery int
-	now       func() int64
-
-	mu        sync.Mutex
-	policy    *rbac.Policy
-	idx       *shardedIndex
-	seq       uint64
-	wal       *wal
-	audit     *auditLog
-	sinceSnap int
-	broken    error
-	rec       RecoveryInfo
+	*durableLog // its mu guards the fields below
+	now         func() int64
+	policy      *rbac.Policy
+	idx         *shardedIndex
+	audit       *auditLog
 }
 
 // storeSnapshot is the snapshot.json payload.
@@ -116,88 +104,41 @@ type storeSnapshot struct {
 	Policy    *rbac.Policy `json:"policy"`
 }
 
+func (s storeSnapshot) sequence() uint64 { return s.Seq }
+
 // OpenStore opens (creating if absent) the store in dir and recovers it
 // to the last acknowledged commit.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = faultfs.OS{}
+	l, img, err := openLog[storeSnapshot, walRecord](opts.FS, dir, storeLog, opts.Tel, opts.SnapshotEvery)
+	if err != nil {
+		return nil, err
 	}
-	snapEvery := opts.SnapshotEvery
-	if snapEvery == 0 {
-		snapEvery = DefaultSnapshotEvery
+	s := &Store{durableLog: l, now: opts.Now, policy: rbac.NewPolicy(), idx: newShardedIndex()}
+	if s.now == nil {
+		s.now = func() int64 { return time.Now().Unix() }
 	}
-	now := opts.Now
-	if now == nil {
-		now = func() int64 { return time.Now().Unix() }
-	}
-	if err := fsys.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("keycom: store dir: %w", err)
-	}
-	s := &Store{
-		dir:       dir,
-		fs:        fsys,
-		tel:       opts.Tel,
-		snapEvery: snapEvery,
-		now:       now,
-		policy:    rbac.NewPolicy(),
-		idx:       newShardedIndex(),
-	}
-	// A crash mid-snapshot can strand the tmp file; it was never
-	// renamed, so it is dead weight.
-	tmp := s.path(snapFileName) + ".tmp"
-	if _, err := fsys.Stat(tmp); err == nil {
-		_ = fsys.Remove(tmp)
-	}
-	if err := s.recover(); err != nil {
+	if err := s.recover(img); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
-
-// recover loads snapshot + WAL + audit chain into memory, truncating
-// torn tails and repairing the reconstructible audit suffix.
-func (s *Store) recover() error {
-	// 1. Snapshot: the replay base.
-	var base uint64
-	auditHead := ""
-	if data, err := s.fs.ReadFile(s.path(snapFileName)); err == nil {
-		var snap storeSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("keycom: snapshot unreadable: %w", err)
-		}
-		if snap.Policy != nil {
-			s.policy = snap.Policy
-		}
-		base = snap.Seq
-		auditHead = snap.AuditHead
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("keycom: read snapshot: %w", err)
+// recover rebuilds the catalogue from the log's snapshot and replayed
+// records, cross-checks them against the audit chain, and repairs the
+// reconstructible audit suffix.
+func (s *Store) recover(img logImage[storeSnapshot, walRecord]) error {
+	if img.snap.Policy != nil {
+		s.policy = img.snap.Policy
 	}
-	s.rec.SnapshotSeq = base
-	s.seq = base
-
-	// 2. WAL: replay acknowledged frames past the snapshot, cut the
-	// torn tail.
-	walData, err := s.fs.ReadFile(s.path(walFileName))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("keycom: read wal: %w", err)
-	}
-	recs, good, err := parseWAL(walData, base)
-	if err != nil {
-		return err
-	}
-	s.rec.TornWALBytes = int64(len(walData) - good)
+	auditHead := img.snap.AuditHead
+	recs := img.recs
 	for _, rec := range recs {
 		s.policy.Apply(rec.Diff)
-		s.seq = rec.Seq
 		auditHead = rec.Audit.Hash
 	}
-	s.rec.Replayed = len(recs)
 
-	// 3. Audit chain: verify, cut a torn tail, reconstruct the suffix a
+	// Audit chain: verify, cut a torn tail, reconstruct the suffix a
 	// crash between the WAL fsync and the audit fsync cut off.
 	auditData, err := s.fs.ReadFile(s.path(auditFileName))
 	if err != nil && !os.IsNotExist(err) {
@@ -233,7 +174,7 @@ func (s *Store) recover() error {
 		return fmt.Errorf("%w: chain ends at seq %d, acknowledged history at seq %d",
 			ErrAuditTruncated, lastAudit, s.seq)
 	}
-	repairBase := base
+	repairBase := img.base
 	if len(recs) > 0 {
 		repairBase = recs[0].Seq - 1
 	}
@@ -253,8 +194,11 @@ func (s *Store) recover() error {
 	}
 	s.rec.TornAuditBytes = int64(len(auditData) - goodAudit)
 
-	// 4. Open the logs at their verified lengths and write the repairs.
-	if err := s.openLogs(int64(good), int64(goodAudit), head); err != nil {
+	// Open both logs at their verified lengths and write the repairs.
+	if err := s.start(s.snapshotState); err != nil {
+		return err
+	}
+	if s.audit, err = openAudit(s.fs, s.path(auditFileName), int64(goodAudit), head); err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -275,10 +219,13 @@ func (s *Store) recover() error {
 	}
 
 	s.idx.rebuild(s.policy)
-	s.tel.Counter("keycom.store.replayed").Add(int64(s.rec.Replayed))
-	s.tel.Counter("keycom.wal.torn.bytes").Add(s.rec.TornWALBytes)
 	s.tel.Counter("keycom.audit.repaired").Add(int64(s.rec.AuditRepaired))
 	return nil
+}
+
+// snapshotState is the snapshot.json payload at seq.
+func (s *Store) snapshotState(seq uint64) any {
+	return &storeSnapshot{Seq: seq, AuditHead: s.audit.head, Policy: s.policy}
 }
 
 // verifiedAuditLen returns the byte length of the first n non-empty
@@ -307,163 +254,38 @@ func verifiedAuditLen(data []byte, n int) int {
 	return off
 }
 
-// openLogs opens the WAL and audit files for appending, truncating each
-// to its verified length first (and fsyncing the cut so a torn tail
-// cannot reappear after the next crash).
-func (s *Store) openLogs(walLen, auditLen int64, auditHead string) error {
-	w, err := openWAL(s.fs, s.path(walFileName), walLen, s.tel, "keycom.wal")
-	if err != nil {
-		return err
-	}
-	if err := w.rewind(walLen); err != nil {
-		w.close()
-		return fmt.Errorf("keycom: truncate torn wal tail: %w", err)
-	}
-	a, err := openAudit(s.fs, s.path(auditFileName), auditLen, auditHead)
-	if err != nil {
-		w.close()
-		return err
-	}
-	if err := truncateTo(a.f, auditLen); err != nil {
-		w.close()
-		a.close()
-		return fmt.Errorf("keycom: truncate torn audit tail: %w", err)
-	}
-	s.wal = w
-	s.audit = a
-	return nil
-}
-
-// rewind truncates the WAL to length n and fsyncs the cut. size is
-// updated as soon as the truncate lands, before the fsync: a failed
-// fsync leaves the old bytes durable (they can resurface after a
-// crash) but the open file — what appends extend — is already cut.
-func (w *wal) rewind(n int64) error {
-	if err := w.f.Truncate(n); err != nil {
-		return err
-	}
-	w.size = n
-	return w.f.Sync()
-}
-
-func truncateTo(f faultfs.File, n int64) error {
-	if err := f.Truncate(n); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // Commit durably applies one authorised diff on behalf of requester and
 // returns the commit's sequence number. The commit is acknowledged only
 // after the WAL frame and the audit line are both fsynced; on any
 // failure before that point the in-memory catalogue is untouched and
 // the logs are rolled back to the previous acknowledged commit.
 func (s *Store) Commit(requester string, d rbac.Diff) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return 0, fmt.Errorf("%w: %v", ErrStoreBroken, s.broken)
-	}
-	rec := walRecord{
-		Seq:  s.seq + 1,
-		Diff: d,
-		Audit: AuditRecord{
-			Seq:       s.seq + 1,
-			Unix:      s.now(),
-			Requester: requester,
-			Action:    "commit",
-			Summary:   strings.TrimSuffix(d.String(), "\n"),
-		},
-	}
-	rec.Audit.seal(s.audit.head)
-
-	preWAL := s.wal.size
-	if err := s.wal.append(&rec); err != nil {
-		s.breakIfUnusable(err)
-		return 0, err
-	}
-	a := rec.Audit
-	if err := s.audit.append(&a); err != nil {
-		// The WAL acknowledged a commit the audit log did not: rewind the
-		// WAL so the two logs agree before anyone reads them.
-		if rerr := s.wal.rewind(preWAL); rerr != nil {
-			s.broken = fmt.Errorf("audit append failed (%v) and wal rewind failed (%v)", err, rerr)
-			return 0, fmt.Errorf("%w: %v", ErrStoreBroken, s.broken)
+	var rec walRecord
+	return s.commit(func(seq uint64) any {
+		rec = walRecord{
+			Seq:  seq,
+			Diff: d,
+			Audit: AuditRecord{
+				Seq:       seq,
+				Unix:      s.now(),
+				Requester: requester,
+				Action:    "commit",
+				Summary:   strings.TrimSuffix(d.String(), "\n"),
+			},
 		}
-		s.breakIfUnusable(err)
-		return 0, err
-	}
-
-	s.policy.Apply(d)
-	s.idx.apply(d)
-	s.seq = rec.Seq
-	s.sinceSnap++
-	if s.snapEvery > 0 && s.sinceSnap >= s.snapEvery {
-		if err := s.snapshotLocked(); err != nil {
-			// The commit is already acknowledged; a failed snapshot only
-			// means the WAL keeps growing until one succeeds.
-			s.tel.Counter("keycom.store.snapshot.errors").Inc()
+		rec.Audit.seal(s.audit.head)
+		return &rec
+	}, func() error {
+		// The WAL acknowledged the commit; the audit line must land too,
+		// or the log rewinds the frame so the two never disagree.
+		a := rec.Audit
+		if err := s.audit.append(&a); err != nil {
+			return err
 		}
-	}
-	return rec.Seq, nil
-}
-
-// breakIfUnusable marks the store broken when a log rewind failed and
-// the file may hold an unacknowledged partial frame.
-func (s *Store) breakIfUnusable(err error) {
-	if strings.Contains(err.Error(), "log unusable") {
-		s.broken = err
-	}
-}
-
-// Snapshot writes the current catalogue to snapshot.json and truncates
-// the WAL. Callers need no lock.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return fmt.Errorf("%w: %v", ErrStoreBroken, s.broken)
-	}
-	return s.snapshotLocked()
-}
-
-func (s *Store) snapshotLocked() error {
-	snap := storeSnapshot{Seq: s.seq, AuditHead: s.audit.head, Policy: s.policy}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("keycom: encode snapshot: %w", err)
-	}
-	tmp := s.path(snapFileName) + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("keycom: snapshot: %w", err)
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("keycom: snapshot: %w", err)
-	}
-	if err := s.fs.Rename(tmp, s.path(snapFileName)); err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("keycom: snapshot rename: %w", err)
-	}
-	// The snapshot now covers every WAL frame; drop them. Failure here is
-	// benign: whether the truncate never happened or happened without a
-	// durable fsync, any frames that survive a later crash carry
-	// seq <= snapshot seq, which replay skips. The WAL just stays fat
-	// until the next snapshot's truncate succeeds.
-	if err := s.wal.rewind(0); err != nil {
-		s.sinceSnap = 0
-		return fmt.Errorf("keycom: truncate wal after snapshot: %w", err)
-	}
-	s.sinceSnap = 0
-	s.tel.Counter("keycom.store.snapshots").Inc()
-	return nil
+		s.policy.Apply(d)
+		s.idx.apply(d)
+		return nil
+	})
 }
 
 // Policy returns a snapshot copy of the catalogue.
@@ -479,13 +301,6 @@ func (s *Store) UserHolds(u rbac.User, ot rbac.ObjectType, p rbac.Permission) bo
 	return s.idx.userHolds(u, ot, p)
 }
 
-// Seq returns the last acknowledged commit sequence number.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // AuditHead returns the audit chain head digest.
 func (s *Store) AuditHead() string {
 	s.mu.Lock()
@@ -493,28 +308,16 @@ func (s *Store) AuditHead() string {
 	return s.audit.head
 }
 
-// RecoveryInfo reports what OpenStore found and repaired.
-func (s *Store) RecoveryInfo() RecoveryInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec
-}
-
 // Close closes the log files. Every acknowledged commit is already
 // durable, so Close flushes nothing.
 func (s *Store) Close() error {
+	err := s.durableLog.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
-	if s.wal != nil {
-		if err := s.wal.close(); err != nil {
-			first = err
-		}
-	}
 	if s.audit != nil {
-		if err := s.audit.close(); err != nil && first == nil {
-			first = err
+		if aerr := s.audit.close(); err == nil {
+			err = aerr
 		}
 	}
-	return first
+	return err
 }

@@ -84,7 +84,7 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := parseWAL(walData, 6)
+	recs, _, err := parseWAL[walRecord](walData, 6)
 	if err != nil || len(recs) != 1 || recs[0].Seq != 7 {
 		t.Fatalf("post-snapshot wal = %d records (%v), want the single seq-7 frame", len(recs), err)
 	}
@@ -154,7 +154,7 @@ func TestStoreWALSeqGapRefusesOpen(t *testing.T) {
 	// Surgically remove the middle frame: checksum-valid records with a
 	// sequence gap are corruption, not a torn tail.
 	data, _ := fs.ReadFile("store/wal.log")
-	recs, _, err := parseWAL(data, 0)
+	recs, _, err := parseWAL[walRecord](data, 0)
 	if err != nil || len(recs) != 3 {
 		t.Fatal("fixture wal unreadable")
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"securewebcom/internal/faultfs"
 )
 
 // keyFile is the on-disk representation of a key pair. The private key is
@@ -17,8 +19,10 @@ type keyFile struct {
 	Private string `json:"private,omitempty"`
 }
 
-// Save writes the key pair to path (mode 0600). If private is false only
-// the public half is written (a distributable identity file).
+// Save writes the key pair to path (mode 0600), replacing any earlier
+// file atomically: a crash leaves the old key or the new one, never a
+// truncated file. If private is false only the public half is written
+// (a distributable identity file).
 func (kp *KeyPair) Save(path string, private bool) error {
 	kf := keyFile{Name: kp.Name, Public: kp.PublicID()}
 	if private {
@@ -28,7 +32,7 @@ func (kp *KeyPair) Save(path string, private bool) error {
 	if err != nil {
 		return fmt.Errorf("keys: marshal %q: %w", kp.Name, err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o600)
+	return faultfs.WriteFileAtomic(faultfs.OS{}, path, append(data, '\n'), 0o600)
 }
 
 // Load reads a key pair from a file written by Save. Public-only files

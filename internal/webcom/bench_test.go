@@ -138,9 +138,9 @@ func newBenchEnv(tb testing.TB, codec string, mem bool) *chaosEnv {
 // BenchmarkDispatch measures one schedule→execute→result round trip of
 // the dispatch plane — binary codec, coalesced writes, admission-time
 // authorisation on both sides — over an in-process pipe transport. This
-// is the number the TestSLO_Dispatch* gates and the CI dispatch-bench
-// job track; BenchmarkDispatchTCP prices the same round trip with the
-// kernel in the loop.
+// is the round trip the BenchmarkSLO_Dispatch* ceilings and the CI
+// dispatch-bench job track; BenchmarkDispatchTCP prices the same round
+// trip with the kernel in the loop.
 func BenchmarkDispatch(b *testing.B) {
 	benchDispatch(b, newBenchEnv(b, CodecAuto, true))
 }

@@ -296,6 +296,13 @@ func (cl *Client) handshake(addr string) (*conn, error) {
 		verdicts = newVerdictSet(eng, session)
 	}
 	cl.mu.Lock()
+	if cl.closed {
+		// Close ran while this handshake was in flight (a reconnect); it
+		// could not see this connection, so it must not go live.
+		cl.mu.Unlock()
+		c.close()
+		return nil, errors.New("webcom: client is closed")
+	}
 	cl.conn = c
 	cl.master = welcome.Principal
 	cl.masterCreds = masterCreds

@@ -260,6 +260,27 @@ func TestClientHandshakeDeadlineOnSilentMaster(t *testing.T) {
 	cl.Close()
 }
 
+// TestClientCloseDuringHandshake: a Close that lands while a handshake
+// is in flight, as it can during a reconnect, must win. The connection
+// that handshake produces never goes live, so no serve loop outlives
+// the closed client.
+func TestClientCloseDuringHandshake(t *testing.T) {
+	leakCheck(t)
+	m, ks := newMasterFixture(t, "X")
+	if err := m.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	cl := trustingClient(t, ks, "X", nil)
+	cl.Dial = func(addr string) (net.Conn, error) {
+		cl.Close()
+		return net.Dial("tcp", addr)
+	}
+	if err := cl.Connect(m.Addr()); err == nil {
+		t.Fatal("a client closed mid-handshake came online")
+	}
+}
+
 func TestHeartbeatDetectsPartitionAndReconnects(t *testing.T) {
 	leakCheck(t)
 	m, ks := newMasterFixture(t, "X")
