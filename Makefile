@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-dispatch bench-authz bench-keycom bench-federation bench-gateway fuzz-smoke
+.PHONY: all build test race soak bench bench-dispatch bench-authz bench-keycom bench-federation bench-gateway fuzz-smoke
 
 all: build test
 
@@ -17,6 +17,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# soak runs the server lifecycle tests — the shared netserve package, the
+# KeyCOM server and daemon, the WebCom master and client Close/Shutdown
+# paths and the CORBA ORB — fifty times under the race detector: a
+# Close or Shutdown race is rare per run, so one run proves little.
+SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart
+
+soak:
+	$(GO) test -race -count=50 -timeout 30m -run '$(SOAK_TESTS)' ./internal/netserve/ ./internal/keycom/ ./internal/webcom/ ./internal/middleware/corba/ ./cmd/keycomd/
 
 # bench runs the three gated benchmark families -count=5 and compares
 # each median against its recorded BENCH_*.json baseline via

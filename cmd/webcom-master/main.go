@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,6 +31,7 @@ import (
 	"securewebcom/internal/cg"
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
+	"securewebcom/internal/netserve"
 	"securewebcom/internal/telemetry"
 	"securewebcom/internal/webcom"
 )
@@ -156,14 +156,14 @@ func realMain(o opts) error {
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		defer ln.Close()
-		h := telemetry.NewHandler(master.Tel, master.Tracer, func() error {
+		hsrv := netserve.NewHTTPServer(telemetry.NewHandler(master.Tel, master.Tracer, func() error {
 			if len(master.Clients()) == 0 {
 				return fmt.Errorf("no clients connected")
 			}
 			return nil
-		})
-		go http.Serve(ln, h)
+		}))
+		go hsrv.Serve(ln)
+		defer hsrv.Close()
 		fmt.Printf("telemetry on http://%s/metrics\n", ln.Addr())
 	}
 	if o.trace {

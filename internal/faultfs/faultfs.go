@@ -14,8 +14,10 @@
 //     buffer (length drawn from the plan's seeded RNG, and the last
 //     surviving byte may be damaged), then the "process" dies — every
 //     later call fails with ErrCrashed;
-//   - CrashPartialFsync: the scheduled sync fails having made only a
-//     prefix of the unsynced tail durable — then the process dies;
+//   - CrashPartialFsync: the scheduled sync fails having made durable
+//     only a prefix of the current data (at least the part it shares
+//     with the old durable image), or nothing new — then the process
+//     dies;
 //   - CrashHard: the scheduled operation never happens — the process
 //     dies first, and all unsynced data is lost;
 //   - ENOSPC: not a crash — the scheduled write (and every write after
@@ -162,8 +164,8 @@ const (
 	// CrashTornWrite lets a prefix of the scheduled write reach the
 	// platter (last byte possibly damaged), then kills the process.
 	CrashTornWrite
-	// CrashPartialFsync makes the scheduled sync durable only a prefix
-	// of the unsynced tail, then kills the process.
+	// CrashPartialFsync leaves the durable image either as it was or
+	// as a prefix of the current data, then kills the process.
 	CrashPartialFsync
 	// ENOSPC fails the scheduled write and all later writes with
 	// ErrNoSpace without crashing.
@@ -414,10 +416,23 @@ func (m *MemFS) engage(write []byte, dst *memFile) error {
 		m.crashed = true
 		return ErrCrashed
 	case CrashPartialFsync:
-		if dst != nil && len(dst.data) > len(dst.durable) {
-			tail := dst.data[len(dst.durable):]
-			keep := int(m.next() % uint64(len(tail)+1))
-			dst.durable = append(dst.durable, tail[:keep]...)
+		// The durable image becomes the old one or a prefix of the
+		// current data. When a truncate has cut into the durable bytes,
+		// the two share only a prefix p, and the old image stays one
+		// candidate beside every data[:p..len(data)].
+		if dst != nil {
+			p := 0
+			for p < len(dst.durable) && p < len(dst.data) && dst.durable[p] == dst.data[p] {
+				p++
+			}
+			if p == len(dst.durable) && len(dst.data) > p {
+				keep := int(m.next() % uint64(len(dst.data)-p+1))
+				dst.durable = append(dst.durable, dst.data[p:p+keep]...)
+			} else if p < len(dst.durable) {
+				if keep := int(m.next() % uint64(len(dst.data)-p+2)); keep <= len(dst.data)-p {
+					dst.durable = append([]byte(nil), dst.data[:p+keep]...)
+				}
+			}
 		}
 		m.crashed = true
 		return ErrCrashed

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -137,6 +138,44 @@ func TestMemFSPartialFsync(t *testing.T) {
 	}
 	if len(got) < 2 || len(got) > 10 || string(got[:2]) != "aa" {
 		t.Fatalf("partial-fsync recovered %q", got)
+	}
+}
+
+// TestMemFSPartialFsyncAfterTruncate: once a truncate has cut into the
+// durable bytes and appends regrew the file, a partial fsync must leave
+// the old durable image or a prefix of the current data, never old
+// bytes followed by a slice from the middle of the new content.
+func TestMemFSPartialFsyncAfterTruncate(t *testing.T) {
+	const old, regrown = "aaaaaaaa", "aabbbbbbbbbbbbbb"
+	outcomes := map[string]bool{}
+	for seed := int64(1); seed <= 32; seed++ {
+		m := NewMemFS()
+		f := writeAll(t, m, "wal.log", old)
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(regrown[2:])); err != nil {
+			t.Fatal(err)
+		}
+		m.SetPlan(&CrashPlan{Op: m.Ops() + 1, Mode: CrashPartialFsync, Seed: seed})
+		if err := f.Sync(); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("seed %d: partial fsync err = %v", seed, err)
+		}
+		m.Recover()
+		got, err := m.ReadFile("wal.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != old && !strings.HasPrefix(regrown, string(got)) {
+			t.Fatalf("seed %d: partial fsync recovered %q, neither %q nor a prefix of %q", seed, got, old, regrown)
+		}
+		outcomes[string(got)] = true
+	}
+	if len(outcomes) < 3 {
+		t.Fatalf("32 seeds reached only %d durable states: %v", len(outcomes), outcomes)
 	}
 }
 

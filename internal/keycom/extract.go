@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
@@ -111,28 +110,11 @@ type wireEnvelope struct {
 	Sig         string    `json:"sig,omitempty"`
 }
 
-type extractResponse struct {
-	OK     bool            `json:"ok"`
-	Err    string          `json:"err,omitempty"`
-	Policy json.RawMessage `json:"policy,omitempty"`
-}
-
 // SubmitExtract sends a signed extract request and returns the policy.
 func SubmitExtract(addr string, req *ExtractRequest) (*rbac.Policy, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("keycom: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(&wireEnvelope{Extract: req}); err != nil {
+	var resp wireResponse
+	if err := roundTrip(addr, &wireEnvelope{Extract: req}, &resp); err != nil {
 		return nil, err
-	}
-	var resp extractResponse
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Err)
 	}
 	p := rbac.NewPolicy()
 	if err := json.Unmarshal(resp.Policy, p); err != nil {

@@ -35,6 +35,7 @@ import (
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
 	"securewebcom/internal/middleware"
+	"securewebcom/internal/netserve"
 	"securewebcom/internal/policylint"
 	"securewebcom/internal/rbac"
 	"securewebcom/internal/telemetry"
@@ -431,17 +432,18 @@ func (s *Service) authorise(ctx context.Context, session *authz.CredentialSessio
 // responses.
 type Server struct {
 	svc *Service
-	ln  net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup // in-flight request handlers
+	srv netserve.Server
+	// decoded, when non-nil, runs after a request is decoded and before
+	// it is admitted: tests park a request there to race Shutdown.
+	decoded func()
 }
 
+// wireResponse answers one request frame; Policy is set only on a
+// successful extract.
 type wireResponse struct {
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	OK     bool            `json:"ok"`
+	Err    string          `json:"err,omitempty"`
+	Policy json.RawMessage `json:"policy,omitempty"`
 }
 
 // ListenAndServe starts the service on addr.
@@ -450,97 +452,28 @@ func ListenAndServe(svc *Service, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keycom: listen: %w", err)
 	}
-	s := &Server{svc: svc, ln: ln, conns: make(map[net.Conn]struct{})}
-	go s.acceptLoop()
+	s := &Server{svc: svc}
+	s.srv.Serve(ln, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr().String() }
 
 // Close stops the server immediately: the accept loop ends and every
 // open connection is severed, without waiting for in-flight requests.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	return s.ln.Close()
-}
+// It returns once every goroutine of the server has exited.
+func (s *Server) Close() error { return s.srv.Close() }
 
-// Shutdown stops the server gracefully: the listener closes (no new
-// connections), in-flight requests drain — a commit that has been
+// Shutdown stops the server gracefully: the listener closes and a new
+// request is refused; in-flight requests drain — a commit that has been
 // accepted finishes, is fsynced and answered — and only then are the
 // idle connections closed. The context bounds the drain; on expiry the
-// remaining connections are severed and ctx.Err() returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		s.ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	return err
-}
-
-// track registers (or on done=false deregisters) a live connection; it
-// reports false when the server is already closing and the connection
-// should be refused.
-func (s *Server) track(conn net.Conn, add bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if add {
-		if s.closed {
-			return false
-		}
-		s.conns[conn] = struct{}{}
-		return true
-	}
-	delete(s.conns, conn)
-	return true
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
-		}
-		go s.serveConn(conn)
-	}
-}
+// remaining connections are severed and ctx.Err() returned. Either way
+// no request can reach the Service (or its Store) once it returns.
+func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	if !s.track(conn, true) {
-		return
-	}
-	defer s.track(conn, false)
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 	for {
@@ -548,11 +481,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
-		// The request is in flight from here until its response is
+		if s.decoded != nil {
+			s.decoded()
+		}
+		// The request is in flight from admission until its response is
 		// written; Shutdown waits for it.
-		s.wg.Add(1)
+		if !s.srv.Begin() {
+			enc.Encode(&wireResponse{Err: "keycom: server shutting down"})
+			return
+		}
 		ok := s.handle(&env, enc)
-		s.wg.Done()
+		s.srv.End()
 		if !ok {
 			return
 		}
@@ -564,14 +503,14 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) handle(env *wireEnvelope, enc *json.Encoder) bool {
 	switch {
 	case env.Extract != nil:
-		resp := extractResponse{OK: true}
+		resp := wireResponse{OK: true}
 		p, err := s.svc.Extract(context.Background(), env.Extract)
 		if err != nil {
-			resp = extractResponse{Err: err.Error()}
+			resp = wireResponse{Err: err.Error()}
 		} else {
 			data, err := json.Marshal(p)
 			if err != nil {
-				resp = extractResponse{Err: err.Error()}
+				resp = wireResponse{Err: err.Error()}
 			} else {
 				resp.Policy = data
 			}
@@ -598,6 +537,12 @@ func (s *Server) handle(env *wireEnvelope, enc *json.Encoder) bool {
 
 // Submit sends one signed update request to a remote KeyCOM service.
 func Submit(addr string, req *UpdateRequest) error {
+	return roundTrip(addr, req, &wireResponse{})
+}
+
+// roundTrip sends one request frame to a remote KeyCOM service and
+// decodes its answer into resp, turning a refusal into an error.
+func roundTrip(addr string, req any, resp *wireResponse) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("keycom: dial %s: %w", addr, err)
@@ -606,8 +551,7 @@ func Submit(addr string, req *UpdateRequest) error {
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return err
 	}
-	var resp wireResponse
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+	if err := json.NewDecoder(conn).Decode(resp); err != nil {
 		return err
 	}
 	if !resp.OK {

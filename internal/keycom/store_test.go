@@ -2,14 +2,18 @@ package keycom
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"sync"
 	"testing"
 
 	"securewebcom/internal/faultfs"
+	"securewebcom/internal/middleware/complus"
 	"securewebcom/internal/rbac"
 	"securewebcom/internal/telemetry"
 )
@@ -489,5 +493,63 @@ func TestServerShutdownDrains(t *testing.T) {
 	// Shutdown is idempotent.
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestServerShutdownRefusesParkedRequest: a request that has been read
+// off the wire but not yet admitted when Shutdown begins must be
+// refused, or fully served, before Shutdown returns; it must never
+// commit afterwards. The server's decode hook parks the request in that
+// window. Nothing is admitted, so Shutdown severs the connection at
+// once; the parked request is then released and must be refused, and
+// Shutdown may return only once its goroutine has exited.
+func TestServerShutdownRefusesParkedRequest(t *testing.T) {
+	f := newFigure8(t)
+	committed := make(chan struct{}, 1)
+	f.svc.OnCommit(func() { committed <- struct{}{} })
+
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	srv := &Server{svc: f.svc, decoded: func() {
+		close(parked)
+		<-release
+	}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.srv.Serve(ln, srv.serveConn)
+
+	req := &UpdateRequest{Requester: f.admin.PublicID(), Diff: addUserDiff("Alice")}
+	if err := req.Sign(f.admin); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := json.NewEncoder(conn).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+
+	shutDone := make(chan error, 1)
+	go func() { shutDone <- srv.Shutdown(context.Background()) }()
+	// The client sees its connection severed while the request is parked.
+	if n, _ := io.Copy(io.Discard, conn); n != 0 {
+		t.Fatalf("client read %d bytes from a connection Shutdown severed", n)
+	}
+	close(release)
+	if err := <-shutDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	select {
+	case <-committed:
+		t.Fatal("a request that arrived during Shutdown committed")
+	default:
+	}
+	if ok, _ := f.cat.CheckAccess(context.Background(), "Alice", "DOMA", "SalariesDB.Component", complus.PermAccess); ok {
+		t.Fatal("a request that arrived during Shutdown changed the catalogue")
 	}
 }

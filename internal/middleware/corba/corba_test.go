@@ -295,3 +295,26 @@ func TestGIOPConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGIOPCloseSeversConnections: Close severs a connection that is
+// already open, so no invocation reaches the ORB once it has returned.
+func TestGIOPCloseSeversConnections(t *testing.T) {
+	srv, err := Serve(newSalariesORB(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := Dial(srv.IOR("salaries-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	if _, err := obj.Invoke("Bob", "read", "Bob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := obj.Invoke("Bob", "read", "Bob"); err == nil {
+		t.Fatalf("invocation served after Close: %q", out)
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"securewebcom/internal/middleware"
 	"strings"
 	"sync"
+
+	"securewebcom/internal/middleware"
+	"securewebcom/internal/netserve"
 )
 
 // GIOP-lite: a framed request/reply protocol in the spirit of CORBA's
@@ -101,10 +103,7 @@ func readFrame(r io.Reader, body any) (byte, error) {
 // Server exposes an ORB over TCP.
 type Server struct {
 	orb *ORB
-	ln  net.Listener
-
-	mu     sync.Mutex
-	closed bool
+	srv netserve.Server
 }
 
 // Serve starts serving the ORB on addr (use "127.0.0.1:0" for an
@@ -115,45 +114,24 @@ func Serve(orb *ORB, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corba: listen %s: %w", addr, err)
 	}
-	s := &Server{orb: orb, ln: ln}
-	go s.acceptLoop()
+	s := &Server{orb: orb}
+	s.srv.Serve(ln, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr().String() }
 
 // IOR returns the interoperable object reference for an object key.
 func (s *Server) IOR(objectKey string) string {
 	return "IOR:" + s.Addr() + "/" + objectKey
 }
 
-// Close stops accepting connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return s.ln.Close()
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
-		}
-		go s.serveConn(conn)
-	}
-}
+// Close stops accepting connections, severs every open one, and returns
+// once every connection handler has exited.
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {

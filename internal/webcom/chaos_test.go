@@ -20,32 +20,25 @@ import (
 
 // leakCheck fails the test if goroutines outlive the test's cleanups.
 // Register it FIRST so it runs after every other cleanup has torn the
-// fixture down (cleanups run last-in first-out).
-func leakCheck(t testing.TB) (settle func() bool) {
+// fixture down (cleanups run last-in first-out). It polls for up to 10s:
+// a goroutine that has already signalled its exit can still be listed
+// for a moment.
+func leakCheck(t testing.TB) {
 	t.Helper()
 	base := runtime.NumGoroutine()
-	// settle waits up to 10s for the goroutines started since leakCheck
-	// to exit, and reports whether they did.
-	settle = func() bool {
+	t.Cleanup(func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
 			if runtime.NumGoroutine() <= base {
-				return true
+				return
 			}
 			time.Sleep(25 * time.Millisecond)
-		}
-		return false
-	}
-	t.Cleanup(func() {
-		if settle() {
-			return
 		}
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		t.Errorf("goroutine leak: %d at start, %d after teardown\n%s",
 			base, runtime.NumGoroutine(), buf[:n])
 	})
-	return settle
 }
 
 // fastRetry returns a RetryPolicy tuned for chaos tests: generous
@@ -278,7 +271,7 @@ func TestChaosSuite(t *testing.T) {
 		for _, tc := range cases {
 			tc := tc
 			t.Run(codecName+"/"+tc.name, func(t *testing.T) {
-				settle := leakCheck(t)
+				leakCheck(t)
 				tel := telemetry.NewRegistry()
 				tc.cfg.Tel = tel
 				env := newChaosEnvCodec(t, tc.cfg, 3, fastRetry(), fastLive(), codec)
@@ -308,13 +301,10 @@ func TestChaosSuite(t *testing.T) {
 					t.Fatalf("policy-denied op executed %d times", n)
 				}
 
-				// Read the injector and the registry only once nothing can
-				// wrap or fault a connection any more: a client still
-				// reconnecting would otherwise bump one between the reads.
+				// Close is a barrier: once it returns, no goroutine of the
+				// master or the clients can wrap or fault a connection, so
+				// the injector and the registry cannot move between reads.
 				env.close()
-				if !settle() {
-					t.Fatal("dispatch goroutines outlived the teardown")
-				}
 				st := env.inj.Stats()
 				t.Logf("%s: %d conns wrapped, fault rate %.2f, swallowed %dB, corrupted %d writes, dropped %d conns",
 					tc.name, st.Wrapped, st.FaultRate(), st.SwallowedBytes, st.CorruptedWrites, st.DroppedConns)

@@ -193,10 +193,17 @@ func (cl *Client) Connect(addr string) error {
 	if err != nil {
 		return err
 	}
+	// Close either sees done (and waits for supervise) or ran first and
+	// has already severed c.
 	cl.mu.Lock()
-	cl.done = make(chan struct{})
+	if cl.closed {
+		cl.mu.Unlock()
+		return errors.New("webcom: client is closed")
+	}
+	done := make(chan struct{})
+	cl.done = done
 	cl.mu.Unlock()
-	go cl.supervise(c)
+	go cl.supervise(c, done)
 	return nil
 }
 
@@ -319,7 +326,9 @@ func (cl *Client) Master() string {
 	return cl.master
 }
 
-// Close disconnects from the master and stops any reconnection.
+// Close disconnects from the master, stops any reconnection, and
+// returns once the serve and reconnect loop has exited, so a Dial hook
+// must not call it during a reconnect.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if !cl.closed {
@@ -330,16 +339,12 @@ func (cl *Client) Close() error {
 	}
 	c := cl.conn
 	cl.mu.Unlock()
+	var err error
 	if c != nil {
-		return c.close()
+		err = c.close()
 	}
-	return nil
-}
-
-func (cl *Client) isClosed() bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.closed
+	cl.Wait()
+	return err
 }
 
 // Wait blocks until the connection to the master ends for good —
@@ -355,17 +360,13 @@ func (cl *Client) Wait() {
 
 // supervise serves the connection and, when it dies, re-establishes it
 // under the reconnect policy until closed or out of budget.
-func (cl *Client) supervise(c *conn) {
-	defer func() {
-		cl.mu.Lock()
-		done := cl.done
-		cl.mu.Unlock()
-		close(done)
-	}()
+func (cl *Client) supervise(c *conn, done chan struct{}) {
+	defer close(done)
 	rc := cl.Reconnect.withDefaults()
 	for {
 		cl.serve(c)
-		if cl.isClosed() || !cl.Reconnect.Enabled {
+		// A closed client's redial returns at once.
+		if !cl.Reconnect.Enabled {
 			return
 		}
 		next, ok := cl.redial(rc)
@@ -412,30 +413,11 @@ const (
 // the master's pings, heartbeats the master in turn, and executes
 // scheduled tasks on a small worker pool.
 func (cl *Client) serve(c *conn) {
-	live := cl.Live.withDefaults()
-	stop := make(chan struct{})
-	defer close(stop)
 	// Heartbeat toward the master: a silent (partitioned) master is
-	// indistinguishable from a healthy idle one without pings.
-	go func() {
-		t := time.NewTicker(live.PingInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if c.idle() > live.IdleTimeout {
-					c.close()
-					return
-				}
-				if err := c.send(pingMsg); err != nil {
-					c.close()
-					return
-				}
-			}
-		}
-	}()
+	// indistinguishable from a healthy idle one without pings. The read
+	// loop closes c before the deferred stop runs.
+	stopBeat := heartbeat(c, cl.Live.withDefaults(), func(string) { c.close() })
+	defer stopBeat()
 	// Execution pool: the read loop is the only sender into taskCh, so
 	// closing it on exit is race-free; workers drain and quit.
 	taskCh := make(chan *msg, taskQueueSize)

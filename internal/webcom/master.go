@@ -16,6 +16,7 @@ import (
 	"securewebcom/internal/cg"
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
+	"securewebcom/internal/netserve"
 	"securewebcom/internal/telemetry"
 	"securewebcom/internal/translate"
 )
@@ -55,7 +56,7 @@ type Master struct {
 	// don't echo it), CodecJSON pins every connection to JSON.
 	Codec string
 
-	ln net.Listener
+	srv netserve.Server // listener, connections, dispatch admission
 
 	// engOnce guards the lazy authz engine so Masters built as struct
 	// literals (tests, examples) get one too.
@@ -82,8 +83,6 @@ type Master struct {
 	clients  map[string]*masterClient        // by client name
 	snapshot atomic.Pointer[[]*masterClient] // sorted clients, rebuilt on churn
 	rr       uint64                          // round-robin rotation for load spreading
-	closed   bool
-	wg       sync.WaitGroup // in-flight dispatches, for graceful Shutdown
 }
 
 // refreshSnapshot rebuilds the lock-free client list. Callers hold m.mu.
@@ -221,101 +220,33 @@ func (m *Master) Listen(addr string) error {
 // to interpose transports (TLS, fault injection in chaos tests) between
 // the master and the network.
 func (m *Master) Serve(ln net.Listener) {
-	m.ln = ln
 	m.Tel.GaugeFunc("webcom.clients", func() int64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return int64(len(m.clients))
 	})
-	go m.acceptLoop()
+	m.srv.Serve(ln, func(raw net.Conn) { m.handleClient(newConn(raw)) })
 }
 
 // Addr returns the listen address.
-func (m *Master) Addr() string { return m.ln.Addr().String() }
+func (m *Master) Addr() string { return m.srv.Addr().String() }
 
-// Close stops the master and disconnects all clients.
-func (m *Master) Close() error {
-	m.mu.Lock()
-	m.closed = true
-	clients := make([]*masterClient, 0, len(m.clients))
-	for _, c := range m.clients {
-		clients = append(clients, c)
-	}
-	m.mu.Unlock()
-	for _, c := range clients {
-		c.fail("master shutting down")
-	}
-	if m.ln == nil {
-		// Never listened: an embedded sub-master whose operator table is
-		// fully local has no listener to close.
-		return nil
-	}
-	return m.ln.Close()
-}
+// Close stops the master: the listener closes and every client
+// connection, mid-handshake ones included, is severed, failing its
+// outstanding tasks. It returns once every master goroutine has exited.
+func (m *Master) Close() error { return m.srv.Close() }
 
-// Shutdown stops the master gracefully: the listener closes so no new
-// clients are accepted, in-flight dispatches drain — a task already on
-// the wire gets its result back — and only then are the remaining
-// client connections severed. The context bounds the drain; on expiry
-// the clients are severed anyway and ctx.Err() returned.
-func (m *Master) Shutdown(ctx context.Context) error {
-	m.mu.Lock()
-	already := m.closed
-	m.closed = true
-	m.mu.Unlock()
-	if !already && m.ln != nil {
-		m.ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	m.mu.Lock()
-	clients := make([]*masterClient, 0, len(m.clients))
-	for _, c := range m.clients {
-		clients = append(clients, c)
-	}
-	m.mu.Unlock()
-	for _, c := range clients {
-		c.fail("master shutting down")
-	}
-	return err
-}
+// Shutdown stops the master gracefully: the listener closes and new
+// dispatches are refused, in-flight dispatches drain — a task already on
+// the wire gets its result back — and then it closes as Close does. The
+// context bounds the drain; on expiry ctx.Err() is returned.
+func (m *Master) Shutdown(ctx context.Context) error { return m.srv.Shutdown(ctx) }
 
-func (m *Master) acceptLoop() {
-	// Transient Accept errors (EMFILE, ECONNABORTED, ...) must not spin
-	// this loop hot: back off exponentially and reset on success.
-	backoff := 5 * time.Millisecond
-	const maxBackoff = time.Second
-	for {
-		raw, err := m.ln.Accept()
-		if err != nil {
-			m.mu.Lock()
-			closed := m.closed
-			m.mu.Unlock()
-			if closed {
-				return
-			}
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = 5 * time.Millisecond
-		go m.handleClient(newConn(raw))
-	}
-}
+// errMasterClosed refuses a dispatch once Close or Shutdown has begun.
+var errMasterClosed = errors.New("webcom: master is shut down")
 
 // handleClient performs the mutual authentication handshake and then
-// serves results from the client.
+// serves results from the client. The connection closes when it returns.
 func (m *Master) handleClient(c *conn) {
 	live := m.Live.withDefaults()
 	// A connection that sends nothing after the challenge must not pin
@@ -323,7 +254,6 @@ func (m *Master) handleClient(c *conn) {
 	c.setHandshakeDeadline(live.HandshakeTimeout)
 	nonce, err := newNonce()
 	if err != nil {
-		c.close()
 		return
 	}
 	if err := c.send(&msg{
@@ -332,12 +262,10 @@ func (m *Master) handleClient(c *conn) {
 		Principal: m.Key.PublicID(),
 		Codecs:    negotiatedCodecs(m.Codec),
 	}); err != nil {
-		c.close()
 		return
 	}
 	hello, err := c.recv()
 	if err != nil || hello.Type != msgHello || hello.Name == "" || hello.Principal == "" {
-		c.close()
 		return
 	}
 	// The client may echo one of the offered codecs; anything else —
@@ -353,7 +281,6 @@ func (m *Master) handleClient(c *conn) {
 	if err := keys.Verify(hello.Principal,
 		handshakePayload("client", nonce, hello.Principal), hello.Sig); err != nil {
 		c.send(&msg{Type: msgReject, Err: "client authentication failed"})
-		c.close()
 		return
 	}
 	// Parse the client's presented credentials. Signature verification
@@ -365,7 +292,6 @@ func (m *Master) handleClient(c *conn) {
 		a, err := keynote.Parse(text)
 		if err != nil {
 			c.send(&msg{Type: msgReject, Err: "malformed credential: " + err.Error()})
-			c.close()
 			return
 		}
 		creds = append(creds, a)
@@ -378,7 +304,6 @@ func (m *Master) handleClient(c *conn) {
 	if old, dup := m.clients[hello.Name]; dup && old.principal != hello.Principal {
 		m.mu.Unlock()
 		c.send(&msg{Type: msgReject, Err: "client name already connected under another principal"})
-		c.close()
 		return
 	}
 	m.mu.Unlock()
@@ -394,7 +319,6 @@ func (m *Master) handleClient(c *conn) {
 		Credentials: credTexts,
 		Codec:       chosenCodec,
 	}); err != nil {
-		c.close()
 		return
 	}
 	// The welcome confirmed the codec; every frame from here on — both
@@ -437,18 +361,12 @@ func (m *Master) handleClient(c *conn) {
 		mc.verdicts = newVerdictSet(eng, mc.session)
 	}
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		c.close()
-		return
-	}
 	if old, dup := m.clients[mc.name]; dup {
 		if old.principal != mc.principal {
 			// A different key claiming an in-use name is an
 			// impersonation attempt, not a reconnect.
 			m.mu.Unlock()
 			c.send(&msg{Type: msgReject, Err: "client name already connected under another principal"})
-			c.close()
 			return
 		}
 		// The same principal re-authenticated: the old entry is a stale
@@ -467,8 +385,7 @@ func (m *Master) handleClient(c *conn) {
 
 	// Heartbeat: ping the client and declare it dead after IdleTimeout
 	// of silence — the only defence against accepted-but-silent peers.
-	stopLiveness := make(chan struct{})
-	go m.liveness(mc, live, stopLiveness)
+	stopBeat := heartbeat(c, live, mc.fail)
 
 	// Serve results until the connection dies. Result messages hand
 	// ownership of the pooled msg to the dispatch waiter (which releases
@@ -514,9 +431,10 @@ func (m *Master) handleClient(c *conn) {
 			msgRelease(r)
 		}
 	}
-	close(stopLiveness)
 	// Connection lost: fail outstanding tasks so the scheduler retries.
+	// Failing closes the connection, so a ping blocked on it returns.
 	mc.fail("read loop ended")
+	stopBeat()
 	m.mu.Lock()
 	if m.clients[mc.name] == mc {
 		delete(m.clients, mc.name)
@@ -533,26 +451,34 @@ var (
 	pingMsg = &msg{Type: msgPing}
 )
 
-// liveness pings mc and declares it dead after IdleTimeout of silence.
-func (m *Master) liveness(mc *masterClient, live Liveness, stop <-chan struct{}) {
-	t := time.NewTicker(live.PingInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-mc.died:
-			return
-		case <-t.C:
-			if mc.conn.idle() > live.IdleTimeout {
-				mc.fail("heartbeat timeout")
+// heartbeat pings c every PingInterval and calls fail once the peer has
+// been silent for IdleTimeout or a ping cannot be sent. The returned
+// stop waits for its goroutine: close c first, or a blocked ping stays.
+func heartbeat(c *conn, live Liveness, fail func(reason string)) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(live.PingInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
 				return
-			}
-			if err := mc.conn.send(pingMsg); err != nil {
-				mc.fail("ping failed")
-				return
+			case <-t.C:
+				if c.idle() > live.IdleTimeout {
+					fail("heartbeat timeout")
+					return
+				}
+				if err := c.send(pingMsg); err != nil {
+					fail("ping failed")
+					return
+				}
 			}
 		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
@@ -754,6 +680,9 @@ func (m *Master) Executor() cg.Executor {
 			}
 			tried = append(tried, target)
 			res, err := m.dispatch(ctx, target, t)
+			if errors.Is(err, errMasterClosed) {
+				return "", err
+			}
 			if err != nil {
 				target.brk.failure(time.Now())
 				lastErr = err
@@ -835,8 +764,10 @@ func timerPut(t *time.Timer) {
 // the per-dispatch deadline and the client's in-flight limit. The
 // caller owns the returned msg and must msgRelease it.
 func (m *Master) dispatch(ctx context.Context, c *masterClient, t cg.Task) (*msg, error) {
-	m.wg.Add(1)
-	defer m.wg.Done()
+	if !m.srv.Begin() {
+		return nil, errMasterClosed
+	}
+	defer m.srv.End()
 	rp := m.Retry.withDefaults(m.MaxAttempts)
 
 	ctx, span := telemetry.StartSpan(ctx, "webcom.dispatch")

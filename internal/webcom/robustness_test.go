@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -228,6 +229,36 @@ func TestHandshakeDeadlineUnblocksSilentConnection(t *testing.T) {
 	}
 }
 
+// TestMasterCloseSeversHandshake: Close severs a connection still
+// mid-handshake rather than leaving it to the handshake deadline, and
+// returns only once its handshake goroutine has exited.
+func TestMasterCloseSeversHandshake(t *testing.T) {
+	leakCheck(t)
+	m, _ := newMasterFixture(t, "X")
+	m.Live = Liveness{HandshakeTimeout: time.Minute}
+	if err := m.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	buf := make([]byte, 4096)
+	if _, err := raw.Read(buf); err != nil { // challenge
+		t.Fatalf("no challenge: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The deadline only bounds a failing run: a severed connection reads
+	// EOF at once.
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("mid-handshake connection after Close: read err = %v, want EOF", err)
+	}
+}
+
 func TestClientHandshakeDeadlineOnSilentMaster(t *testing.T) {
 	leakCheck(t)
 	// A listener that accepts and never speaks: an accepted-but-silent
@@ -278,6 +309,28 @@ func TestClientCloseDuringHandshake(t *testing.T) {
 	}
 	if err := cl.Connect(m.Addr()); err == nil {
 		t.Fatal("a client closed mid-handshake came online")
+	}
+}
+
+// TestClientCloseWaitsForServeLoop: Close returns only once the serve
+// and reconnect loop has exited, even with auto-reconnect armed.
+func TestClientCloseWaitsForServeLoop(t *testing.T) {
+	leakCheck(t)
+	m, ks := newMasterFixture(t, "X")
+	if err := m.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	cl := trustingClient(t, ks, "X", nil)
+	cl.Reconnect = ReconnectPolicy{Enabled: true, MaxAttempts: -1}
+	if err := cl.Connect(m.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	select {
+	case <-cl.done:
+	default:
+		t.Fatal("Close returned while the serve loop still ran")
 	}
 }
 
