@@ -20,9 +20,10 @@ race:
 
 # soak runs the server lifecycle tests — the shared netserve package, the
 # KeyCOM server and daemon, the WebCom master and client Close/Shutdown
-# paths and the CORBA ORB — fifty times under the race detector: a
+# paths and the CORBA ORB, plus the delegation round trips whose losing
+# speculative branch is awaited — fifty times under the race detector: a
 # Close or Shutdown race is rare per run, so one run proves little.
-SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart
+SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart|TestSpeculativeSteal|TestDenialNeverSpeculated|TestDelegationStreamsProgress|TestClosureRefMissResent
 
 soak:
 	$(GO) test -race -count=50 -timeout 30m -run '$(SOAK_TESTS)' ./internal/netserve/ ./internal/keycom/ ./internal/webcom/ ./internal/middleware/corba/ ./cmd/keycomd/

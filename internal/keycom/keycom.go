@@ -540,14 +540,20 @@ func Submit(addr string, req *UpdateRequest) error {
 	return roundTrip(addr, req, &wireResponse{})
 }
 
+// roundTripTimeout bounds one client round trip, dial included: a
+// service that accepts and then stays silent fails the call instead of
+// hanging it.
+var roundTripTimeout = 30 * time.Second
+
 // roundTrip sends one request frame to a remote KeyCOM service and
 // decodes its answer into resp, turning a refusal into an error.
 func roundTrip(addr string, req any, resp *wireResponse) error {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, roundTripTimeout)
 	if err != nil {
 		return fmt.Errorf("keycom: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(roundTripTimeout))
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return err
 	}

@@ -2,9 +2,12 @@ package keycom
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
@@ -438,5 +441,48 @@ func TestLintGateRefusesErrorUpdateAtomically(t *testing.T) {
 	}
 	if got, _ := f.cat.CheckAccess(context.Background(), "Alice", "DOMA", "SalariesDB.Component", complus.PermAccess); !got {
 		t.Fatal("accepted update not applied")
+	}
+}
+
+// silentListener accepts one connection and never answers on it.
+func silentListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case c := <-accepted:
+			c.Close()
+		default:
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestSubmitSilentServerTimesOut: a service that accepts and then stays
+// silent fails Submit after the round-trip deadline instead of hanging it.
+func TestSubmitSilentServerTimesOut(t *testing.T) {
+	defer func(d time.Duration) { roundTripTimeout = d }(roundTripTimeout)
+	roundTripTimeout = 100 * time.Millisecond
+	addr := silentListener(t)
+	done := make(chan error, 1)
+	go func() { done <- Submit(addr, &UpdateRequest{Requester: "K"}) }()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Submit to a silent server: %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit hung on a silent server")
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"securewebcom/internal/middleware"
 	"securewebcom/internal/rbac"
@@ -316,5 +318,49 @@ func TestGIOPCloseSeversConnections(t *testing.T) {
 	}
 	if out, err := obj.Invoke("Bob", "read", "Bob"); err == nil {
 		t.Fatalf("invocation served after Close: %q", out)
+	}
+}
+
+// TestInvokeSilentServerTimesOut: an ORB that accepts and then stays
+// silent fails Invoke after the call deadline instead of hanging it.
+func TestInvokeSilentServerTimesOut(t *testing.T) {
+	defer func(d time.Duration) { invokeTimeout = d }(invokeTimeout)
+	invokeTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	defer func() {
+		ln.Close()
+		select {
+		case c := <-accepted:
+			c.Close()
+		default:
+		}
+	}()
+	obj, err := Dial("IOR:" + ln.Addr().String() + "/salaries-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := obj.Invoke("Bob", "read", "Bob")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Invoke on a silent ORB: %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Invoke hung on a silent ORB")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"time"
 
 	"securewebcom/internal/middleware"
 	"securewebcom/internal/netserve"
@@ -192,7 +193,7 @@ func Dial(ior string) (*RemoteObject, error) {
 		return nil, fmt.Errorf("corba: IOR %q lacks object key", ior)
 	}
 	addr, key := rest[:slash], rest[slash+1:]
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, invokeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("corba: dial %s: %w", addr, err)
 	}
@@ -204,11 +205,18 @@ func Dial(ior string) (*RemoteObject, error) {
 	}, nil
 }
 
+// invokeTimeout bounds one remote call, and the dial: an ORB that
+// accepts and then stays silent fails the call instead of hanging it.
+var invokeTimeout = 30 * time.Second
+
 // Invoke performs a remote method call as the given principal.
 // An access-denied reply surfaces as an error containing "access denied".
+// A call that fails to get its reply leaves the connection closed, since
+// a late reply would answer the next call.
 func (ro *RemoteObject) Invoke(principal, operation string, args ...string) (string, error) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
+	ro.conn.SetDeadline(time.Now().Add(invokeTimeout))
 	ro.nextID++
 	req := giopRequest{
 		RequestID: ro.nextID,
@@ -226,6 +234,7 @@ func (ro *RemoteObject) Invoke(principal, operation string, args ...string) (str
 	var reply giopReply
 	msgType, err := readFrame(ro.br, &reply)
 	if err != nil {
+		ro.conn.Close()
 		return "", err
 	}
 	if msgType != msgReply || reply.RequestID != req.RequestID {

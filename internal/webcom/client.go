@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -106,8 +108,11 @@ type Client struct {
 	verdicts *verdictSet
 	addr     string
 	closed   bool
-	closedCh chan struct{}
-	done     chan struct{}
+	// life is the context every task and delegation runs under; Close
+	// cancels it, which also stops a backing-off redial.
+	life context.Context
+	stop context.CancelFunc
+	done chan struct{}
 }
 
 // Engine returns the client's authorisation engine (lazily built from
@@ -184,8 +189,8 @@ func (cl *Client) Connect(addr string) error {
 		return errors.New("webcom: client is closed")
 	}
 	cl.addr = addr
-	if cl.closedCh == nil {
-		cl.closedCh = make(chan struct{})
+	if cl.life == nil {
+		cl.life, cl.stop = context.WithCancel(context.Background())
 	}
 	cl.mu.Unlock()
 
@@ -326,15 +331,19 @@ func (cl *Client) Master() string {
 	return cl.master
 }
 
-// Close disconnects from the master, stops any reconnection, and
-// returns once the serve and reconnect loop has exited, so a Dial hook
-// must not call it during a reconnect.
+// Close disconnects from the master and stops any reconnection. It
+// first cancels the context in-flight tasks and delegations run under,
+// then severs the connection, and returns once the serve and reconnect
+// loop and every task it started have exited, so a Dial hook must not
+// call it. A Local operation may close its client, as a crash does:
+// that call severs and returns at once, since a task cannot outwait
+// itself.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if !cl.closed {
 		cl.closed = true
-		if cl.closedCh != nil {
-			close(cl.closedCh)
+		if cl.stop != nil {
+			cl.stop()
 		}
 	}
 	c := cl.conn
@@ -343,8 +352,30 @@ func (cl *Client) Close() error {
 	if c != nil {
 		err = c.close()
 	}
-	cl.Wait()
+	if !calledFromTask() {
+		cl.Wait()
+	}
 	return err
+}
+
+// runFrame is the stack frame every client task executes under.
+var runFrame = runtime.FuncForPC(reflect.ValueOf((*Client).run).Pointer()).Name()
+
+// calledFromTask reports whether Close's caller runs inside a client
+// task, of this client or another. Only Close looks, so the task path
+// pays nothing for it.
+func calledFromTask() bool {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs[:])])
+	for {
+		f, more := frames.Next()
+		if f.Function == runFrame {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // Wait blocks until the connection to the master ends for good —
@@ -382,12 +413,12 @@ func (cl *Client) supervise(c *conn, done chan struct{}) {
 func (cl *Client) redial(rc ReconnectPolicy) (*conn, bool) {
 	cl.mu.Lock()
 	addr := cl.addr
-	closedCh := cl.closedCh
+	life := cl.life
 	cl.mu.Unlock()
 	for attempt := 0; rc.MaxAttempts < 0 || attempt < rc.MaxAttempts; attempt++ {
 		t := time.NewTimer(rc.backoff(attempt))
 		select {
-		case <-closedCh:
+		case <-life.Done():
 			t.Stop()
 			return nil, false
 		case <-t.C:
@@ -411,22 +442,40 @@ const (
 
 // serve handles one established connection until it dies: it answers
 // the master's pings, heartbeats the master in turn, and executes
-// scheduled tasks on a small worker pool.
+// scheduled tasks on a small worker pool. It owns every goroutine it
+// starts and returns only after all of them have exited. The work runs
+// under a context cancelled when the connection ends, since no result
+// can reach the master after that.
 func (cl *Client) serve(c *conn) {
+	cl.mu.Lock()
+	ctx, cancel := context.WithCancel(cl.life)
+	cl.mu.Unlock()
 	// Heartbeat toward the master: a silent (partitioned) master is
 	// indistinguishable from a healthy idle one without pings. The read
 	// loop closes c before the deferred stop runs.
 	stopBeat := heartbeat(c, cl.Live.withDefaults(), func(string) { c.close() })
 	defer stopBeat()
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	// Execution pool: the read loop is the only sender into taskCh, so
 	// closing it on exit is race-free; workers drain and quit.
 	taskCh := make(chan *msg, taskQueueSize)
 	defer close(taskCh)
+	defer cancel()
+	wg.Add(taskWorkers)
 	for i := 0; i < taskWorkers; i++ {
 		go func() {
+			defer wg.Done()
 			for m := range taskCh {
-				cl.runTask(c, m)
+				cl.run(ctx, c, m)
 			}
+		}()
+	}
+	spawn := func(m *msg) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.run(ctx, c, m)
 		}()
 	}
 	for {
@@ -446,13 +495,13 @@ func (cl *Client) serve(c *conn) {
 				// Queue full: spill to a fresh goroutine rather than
 				// block the read loop — pings must keep flowing even
 				// under a task flood.
-				go cl.runTask(c, m)
+				spawn(m)
 			}
 		case msgDelegate:
 			// Whole-subgraph delegations run long and are rare; they
 			// always get their own goroutine so they cannot wedge the
 			// task pool.
-			go cl.runDelegate(c, m)
+			spawn(m)
 		case msgDelegateCancel:
 			// The root abandoned the delegation (timeout, or a
 			// speculative duplicate finished first): stop evaluating so
@@ -467,64 +516,68 @@ func (cl *Client) serve(c *conn) {
 	}
 }
 
-// runTask executes one scheduled operation and ships the result back,
-// releasing both the task and reply messages to the pool.
-func (cl *Client) runTask(c *conn, m *msg) {
-	result, denied, err := cl.execute(m)
+// run executes one scheduled task or delegated subgraph and ships the
+// closing result frame back, releasing both the request and the reply
+// to the pool. A delegation runs under its own cancellable context,
+// registered by TaskID so a delegate_cancel frame can abort it
+// mid-subgraph. ctx ends only with the connection (or just before Close
+// severs it), and the master then fails the request over to another
+// client: work that starts after that is dropped, and a result computed
+// under it, which may be the cancellation itself, is not sent.
+func (cl *Client) run(ctx context.Context, c *conn, m *msg) {
+	defer msgRelease(m)
+	if ended(ctx) {
+		return
+	}
 	reply := msgAcquire()
+	defer msgRelease(reply)
+	var err error
+	if m.Type == msgDelegate {
+		ctx, cancel := context.WithCancel(ctx)
+		cl.registerDelegate(m.TaskID, cancel)
+		var st cg.Stats
+		reply.Result, st, reply.Denied, err = cl.executeDelegate(ctx, c, m)
+		reply.Fired, reply.Expanded = st.Fired, st.Expanded
+		cl.unregisterDelegate(m.TaskID)
+		cancel()
+	} else {
+		reply.Result, reply.Denied, err = cl.execute(ctx, m)
+	}
+	if ended(ctx) {
+		return
+	}
 	reply.Type = msgResult
 	reply.TaskID = m.TaskID
-	reply.Result = result
-	reply.Denied = denied
 	if err != nil {
 		reply.Err = err.Error()
 	}
-	// Ship the finished spans of this task's trace back with the result
-	// so the tier above can merge them into one connected chain.
+	// Ship the finished spans of this trace back with the result so the
+	// tier above can merge them into one connected chain.
 	if m.TraceID != "" && cl.Tracer != nil {
 		reply.Spans = cl.Tracer.Trace(m.TraceID)
 	}
 	c.send(reply)
-	msgRelease(reply)
-	msgRelease(m)
 }
 
-// runDelegate evaluates one delegated condensed subgraph and replies
-// with its exit value and evaluation stats. The evaluation runs under a
-// cancellable context registered by TaskID so a delegate_cancel frame
-// can abort it mid-subgraph.
-func (cl *Client) runDelegate(c *conn, m *msg) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cl.registerDelegate(m.TaskID, cancel)
-	defer cl.unregisterDelegate(m.TaskID)
-	defer cancel()
-	result, st, denied, err := cl.executeDelegate(ctx, c, m)
-	reply := msgAcquire()
-	reply.Type = msgResult
-	reply.TaskID = m.TaskID
-	reply.Result = result
-	reply.Denied = denied
-	reply.Fired = st.Fired
-	reply.Expanded = st.Expanded
-	if err != nil {
-		reply.Err = err.Error()
+// ended reports whether ctx is done. Unlike ctx.Err it takes no lock,
+// so the pool workers sharing one context do not contend on it.
+func ended(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
 	}
-	if m.TraceID != "" && cl.Tracer != nil {
-		reply.Spans = cl.Tracer.Trace(m.TraceID)
-	}
-	c.send(reply)
-	msgRelease(reply)
-	msgRelease(m)
 }
 
 // execute runs one scheduled operation: first the client's own
 // authorisation of the master (L2), then the middleware invocation under
 // native security (L1).
-func (cl *Client) execute(m *msg) (result string, denied bool, err error) {
+func (cl *Client) execute(ctx context.Context, m *msg) (result string, denied bool, err error) {
 	// The scheduled message may carry the master's trace identifiers;
 	// continuing them parents this client's spans under the master's
 	// dispatch span, so one request-scoped chain covers both processes.
-	ctx := telemetry.WithTracer(context.Background(), cl.Tracer)
+	ctx = telemetry.WithTracer(ctx, cl.Tracer)
 	ctx, span := telemetry.StartRemoteSpan(ctx, "client.execute", m.TraceID, m.SpanID)
 	defer span.Finish()
 	span.SetAttr("op", m.Op)

@@ -268,7 +268,7 @@ func (cl *Client) executeDelegate(ctx context.Context, c *conn, m *msg) (result 
 	// Evaluate the subgraph over this sub-master's own clients. The
 	// deadline bounds the evaluation even if the parent vanishes
 	// mid-subgraph, so no goroutine outlives the delegation for long.
-	rp := cl.Sub.Retry.withDefaults(cl.Sub.MaxAttempts)
+	rp := cl.Sub.Retry.withDefaults()
 	ctx, cancel := context.WithTimeout(ctx, rp.DelegateTimeout)
 	defer cancel()
 	eng := &cg.Engine{Library: lib}

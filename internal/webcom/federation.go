@@ -157,7 +157,7 @@ func newDelegPlan(lib *cg.Library, name string) *delegPlan {
 // subgraphs to authorised sub-masters. Master.Run installs it whenever
 // the engine evaluates with a graph library.
 func (m *Master) Condenser(lib *cg.Library) cg.Condenser {
-	rp := m.Retry.withDefaults(m.MaxAttempts)
+	rp := m.Retry.withDefaults()
 	var (
 		planMu sync.Mutex
 		plans  = map[string]*delegPlan{}
@@ -220,6 +220,9 @@ func (m *Master) Condenser(lib *cg.Library) cg.Condenser {
 				if ctx.Err() != nil {
 					return "", cg.Stats{}, false, ctx.Err()
 				}
+				if errors.Is(err, errMasterClosed) {
+					return "", cg.Stats{}, false, err
+				}
 				continue
 			}
 			c = winner
@@ -261,19 +264,20 @@ func (m *Master) Condenser(lib *cg.Library) cg.Condenser {
 	}
 }
 
-// delegateMaybeSteal dispatches one delegation to primary and, when the
+// delegateMaybeSteal delegates one subgraph to primary and, when the
 // retry policy arms speculation, watches for stragglers: if no progress
 // frame has arrived by SpeculateAfter of the delegate deadline, the same
 // subgraph is re-delegated to the cheapest idle sibling sub-master (work
 // stealing) under its own freshly scoped credential, and the first
-// closing frame wins. The loser's dispatch is cancelled, which withdraws
-// its pending waiter and sends a delegate_cancel frame, so its late
-// result is dropped by the read loop and its evaluation stops — one
-// subgraph never yields two honoured answers. Speculation is deliberately
+// closing frame wins. The loser is cancelled, which withdraws its
+// pending waiter and sends a delegate_cancel frame, so its late result
+// is dropped by the read loop and its evaluation stops — one subgraph
+// never yields two honoured answers. Speculation is deliberately
 // conservative: it fires only when the primary has streamed nothing at
 // all, so a healthy-but-slow sub-master that is making progress is never
 // duplicated. A denial from either branch is authoritative — the other
-// branch is cancelled and the denial returned, never re-shopped.
+// branch is cancelled and the denial returned, never re-shopped. Both
+// branches have returned by the time delegateMaybeSteal does.
 func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, siblings []*masterClient,
 	entry string, plan *delegPlan, inputs map[string]string,
 	scope authz.DelegationScope, deleg *keynote.Assertion, rp RetryPolicy) (*msg, *masterClient, error) {
@@ -283,10 +287,11 @@ func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, 
 	// frames have a consumer — a registered progress hook, or armed
 	// speculation that needs the straggler signal. With one sub-master
 	// and no hook nobody would read them, so the wing runs frame-free.
+	speculate := rp.SpeculateAfter > 0 && len(siblings) > 0
 	progressed := make(chan struct{})
 	var progressOnce sync.Once
 	var onFrame func(node, result string)
-	if m.OnDelegateProgress != nil || (rp.SpeculateAfter > 0 && len(siblings) > 0) {
+	if m.OnDelegateProgress != nil || speculate {
 		onFrame = func(node, result string) {
 			progressOnce.Do(func() { close(progressed) })
 			if m.OnDelegateProgress != nil {
@@ -300,26 +305,24 @@ func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, 
 		c   *masterClient
 		err error
 	}
+	// Buffered for both branches: a branch never blocks on its send, so
+	// whichever one loses can always finish.
 	outs := make(chan outcome, 2)
 	runCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
-
-	launch := func(c *masterClient, cred *keynote.Assertion, f func(node, result string)) context.CancelFunc {
-		bctx, cancel := context.WithCancel(runCtx)
+	launched := 0
+	launch := func(c *masterClient, cred *keynote.Assertion, f func(node, result string)) {
+		launched++
 		go func() {
-			res, err := m.dispatchDelegate(bctx, c, entry, plan, inputs, cred, rp, f)
+			res, err := m.delegate(runCtx, c, entry, plan, inputs, cred, f)
 			outs <- outcome{res: res, c: c, err: err}
 		}()
-		return cancel
 	}
-
 	launch(primary, deleg, onFrame)
-	launched := 1
 	var thief *masterClient
-	var cancelThief context.CancelFunc
 
 	var specC <-chan time.Time
-	if rp.SpeculateAfter > 0 && len(siblings) > 0 {
+	if speculate {
 		st := time.NewTimer(time.Duration(rp.SpeculateAfter * float64(rp.DelegateTimeout)))
 		defer st.Stop()
 		specC = st.C
@@ -344,8 +347,7 @@ func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, 
 				continue
 			}
 			m.Tel.Counter("webcom.delegate.speculations").Inc()
-			cancelThief = launch(thief, cred, m.OnDelegateProgress)
-			launched++
+			launch(thief, cred, m.OnDelegateProgress)
 		case out := <-outs:
 			launched--
 			if out.err != nil {
@@ -356,26 +358,16 @@ func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, 
 				}
 				continue // the other branch, if any, may still answer
 			}
-			// First closing frame wins; cancel the other branch and let
-			// it drain in the background (bounded by the cancel).
-			if out.c == primary && cancelThief != nil {
-				cancelThief()
-			} else if out.c == thief {
-				if !out.res.Denied && out.res.Err == "" {
-					m.Tel.Counter("webcom.delegate.steal.wins").Inc()
-				}
+			// First closing frame wins: cancel the other branch and
+			// await it, dropping whatever it answers.
+			if out.c == thief && !out.res.Denied && out.res.Err == "" {
+				m.Tel.Counter("webcom.delegate.steal.wins").Inc()
 			}
 			cancelAll()
-			out.c.brk.success()
-			if n := launched; n > 0 {
-				go func() {
-					for i := 0; i < n; i++ {
-						if o := <-outs; o.res != nil {
-							msgRelease(o.res)
-						}
-					}
-				}()
+			for ; launched > 0; launched-- {
+				msgRelease((<-outs).res)
 			}
+			out.c.brk.success()
 			return out.res, out.c, nil
 		}
 	}
@@ -388,138 +380,52 @@ func (m *Master) delegateMaybeSteal(ctx context.Context, primary *masterClient, 
 	return nil, primary, firstErr
 }
 
-// dispatchDelegate ships one condensed subgraph to a sub-master and
-// awaits the exit value, bounded by the delegate deadline and the
-// sub-master's in-flight slots. Streamed delegate_result frames arriving
-// before the closing result are fed to onFrame (when non-nil) and
-// counted; the closing frame is returned. On cancellation or deadline
-// the waiter is withdrawn and a delegate_cancel frame tells the
-// sub-master to stop evaluating.
+// delegate ships one condensed subgraph to sub-master c over the shared
+// round trip and returns the closing result frame. Streaming is
+// requested, and progress frames fed to onFrame, when onFrame is non-nil.
+// A delegation that ends by deadline or cancellation tells the
+// sub-master to stop evaluating with a delegate_cancel frame.
 //
 // A connection that has already carried this closure sends only its
 // content hash (LibraryRef): the sub-master answers from its
 // content-addressed cache, and the warm wire frame shrinks from the
 // whole subgraph JSON to 64 bytes. If the sub has evicted the entry it
 // answers errUnknownClosure — an optimisation miss, not a policy
-// decision — and the closure is resent in full under the same deadline
-// and span.
-func (m *Master) dispatchDelegate(ctx context.Context, c *masterClient, entry string,
-	plan *delegPlan, inputs map[string]string, deleg *keynote.Assertion, rp RetryPolicy,
+// decision — and the closure is resent in full.
+func (m *Master) delegate(ctx context.Context, c *masterClient, entry string,
+	plan *delegPlan, inputs map[string]string, deleg *keynote.Assertion,
 	onFrame func(node, result string)) (*msg, error) {
-	ctx, cancel := context.WithTimeout(ctx, rp.DelegateTimeout)
-	defer cancel()
-
-	ctx, span := telemetry.StartSpan(ctx, "webcom.delegate.dispatch")
-	defer span.Finish()
-	span.SetAttr("submaster", c.name)
-	start := time.Now()
-	c.load.begin()
-	defer func() {
-		d := time.Since(start)
-		c.load.end(d)
-		m.Tel.Histogram("webcom.delegate.latency").ObserveDuration(d)
-	}()
-
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-c.died:
-		return nil, errors.New("webcom: client connection lost")
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-
-	// attempt registers a waiter, ships one delegate frame — the full
-	// closure, or just its hash when byRef — and awaits the closing
-	// result, feeding streamed progress frames to onFrame.
-	attempt := func(byRef bool) (*msg, error) {
-		id := m.nextID.Add(1)
-
-		// Delegate traffic is orders of magnitude rarer than task
-		// dispatch, so it uses a plain channel rather than the pooled
-		// waiter. When streaming, the buffer absorbs a burst of progress
-		// frames (the read loop drops, never blocks on, frames beyond
-		// it); a frame-free delegation only ever receives its closing
-		// result.
-		size := 1
-		if onFrame != nil {
-			size = 64
-		}
-		ch := make(chan *msg, size)
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return nil, errors.New("webcom: client connection lost")
-		}
-		c.pending[id] = ch
-		c.mu.Unlock()
-
-		del := &msg{
+	send := func(byRef bool) (*msg, error) {
+		req := &msg{
 			Type:       msgDelegate,
-			TaskID:     id,
 			Op:         entry,
 			Inputs:     inputs,
 			Delegation: []string{deleg.Text()},
 			Stream:     onFrame != nil,
 		}
 		if byRef {
-			del.LibraryRef = plan.hash
+			req.LibraryRef = plan.hash
 		} else {
-			del.Library = plan.closure
+			req.Library = plan.closure
 		}
-		if span != nil {
-			del.TraceID = span.TraceID
-			del.SpanID = span.SpanID
+		r, err := c.call(ctx, req, onFrame)
+		if req.TaskID != 0 && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			// Abandoned on the wire (deadline, run cancellation, or a
+			// speculative duplicate won): best effort on a possibly
+			// dead conn.
+			c.conn.send(&msg{Type: msgDelegateCancel, TaskID: req.TaskID})
+			m.Tel.Counter("webcom.delegate.cancels").Inc()
 		}
-		if err := c.conn.send(del); err != nil {
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
-			return nil, err
-		}
-		for {
-			select {
-			case r := <-ch:
-				if r.Type == msgDelegateResult {
-					// Advisory per-node progress; the closing frame below
-					// is the authoritative answer.
-					m.Tel.Counter("webcom.delegate.frames.streamed").Inc()
-					if onFrame != nil {
-						onFrame(r.Node, r.Result)
-					}
-					msgRelease(r)
-					continue
-				}
-				if r.Err != "" && strings.Contains(r.Err, "connection lost") {
-					err := errors.New(r.Err)
-					msgRelease(r)
-					return nil, err
-				}
-				if len(r.Spans) > 0 {
-					telemetry.TracerFrom(ctx).Ingest(r.Spans)
-				}
-				return r, nil
-			case <-ctx.Done():
-				c.mu.Lock()
-				delete(c.pending, id)
-				c.mu.Unlock()
-				// Tell the sub-master the delegation is abandoned
-				// (deadline, run cancellation, or a speculative duplicate
-				// won) so it stops evaluating. Best effort on a possibly
-				// dead conn.
-				c.conn.send(&msg{Type: msgDelegateCancel, TaskID: id})
-				m.Tel.Counter("webcom.delegate.cancels").Inc()
-				return nil, ctx.Err()
-			}
-		}
+		return r, err
 	}
 
+	span := telemetry.SpanFrom(ctx)
 	byRef := plan.hash != "" && c.closureSent(plan.hash)
 	if byRef {
 		m.Tel.Counter("webcom.delegate.closure.refs").Inc()
 		span.SetAttr("closure", "ref")
 	}
-	r, err := attempt(byRef)
+	r, err := send(byRef)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +437,7 @@ func (m *Master) dispatchDelegate(ctx context.Context, c *masterClient, entry st
 		span.SetAttr("closure", "resent")
 		msgRelease(r)
 		byRef = false
-		if r, err = attempt(false); err != nil {
+		if r, err = send(false); err != nil {
 			return nil, err
 		}
 	}

@@ -34,9 +34,6 @@ type Master struct {
 	Credentials []*keynote.Assertion
 	// Resolver resolves principal names for signature checks.
 	Resolver keynote.Resolver
-	// MaxAttempts bounds rescheduling of a failed task. Default 3.
-	// Deprecated in favour of Retry.MaxAttempts, but still honoured.
-	MaxAttempts int
 	// Retry configures retries, backoff, dispatch deadlines, circuit
 	// breaking and per-client in-flight bounds. Zero value = defaults.
 	Retry RetryPolicy
@@ -116,6 +113,7 @@ func (m *Master) Audit() *authz.AuditLog {
 }
 
 type masterClient struct {
+	m           *Master
 	name        string
 	principal   string
 	role        string // "" plain client, roleSubmaster for embedded masters
@@ -329,8 +327,9 @@ func (m *Master) handleClient(c *conn) {
 	}
 	c.clearDeadline()
 
-	rp := m.Retry.withDefaults(m.MaxAttempts)
+	rp := m.Retry.withDefaults()
 	mc := &masterClient{
+		m:           m,
 		name:        hello.Name,
 		principal:   hello.Principal,
 		role:        hello.Role,
@@ -616,7 +615,7 @@ var ErrTaskDenied = errors.New("webcom: task denied")
 // decision, not a fault, and retrying it elsewhere would turn policy
 // routing into a race.
 func (m *Master) Executor() cg.Executor {
-	rp := m.Retry.withDefaults(m.MaxAttempts)
+	rp := m.Retry.withDefaults()
 	return func(ctx context.Context, t cg.Task, op cg.Operator) (string, error) {
 		if _, local := op.(*cg.Func); local {
 			return cg.LocalExecutor(ctx, t, op)
@@ -679,7 +678,15 @@ func (m *Master) Executor() cg.Executor {
 				continue
 			}
 			tried = append(tried, target)
-			res, err := m.dispatch(ctx, target, t)
+			m.Tel.Counter("webcom.dispatch.total").Inc()
+			sched := msgAcquire()
+			sched.Type = msgSchedule
+			sched.Op = t.OpName
+			sched.Args = append(sched.Args[:0], t.Args...)
+			sched.Annotations = t.Annotations
+			res, err := target.call(ctx, sched, nil)
+			sched.Annotations = nil // caller-owned; don't let release clear it
+			msgRelease(sched)
 			if errors.Is(err, errMasterClosed) {
 				return "", err
 			}
@@ -704,11 +711,6 @@ func (m *Master) Executor() cg.Executor {
 				return "", err
 			}
 			if res.Err != "" {
-				if strings.Contains(res.Err, "connection lost") {
-					lastErr = errors.New(res.Err)
-					msgRelease(res)
-					continue
-				}
 				err := fmt.Errorf("webcom: task %s on %s: %s", t.OpName, target.name, res.Err)
 				msgRelease(res)
 				return "", err
@@ -723,15 +725,13 @@ func (m *Master) Executor() cg.Executor {
 	}
 }
 
-// waiter is a pooled one-shot result rendezvous. It is returned to the
-// pool only after a successful receive: the read loop deletes the
+// waiterPool holds one-shot result channels. A channel is returned to
+// the pool only after a successful receive: the read loop deletes the
 // pending entry before sending, so once a result arrives no other send
-// into the channel is possible and reuse is safe. On timeout the waiter
+// into the channel is possible and reuse is safe. On timeout the channel
 // is abandoned to the garbage collector instead — a late result could
 // still be in flight toward it.
-type waiter struct{ ch chan *msg }
-
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan *msg, 1)} }}
+var waiterPool = sync.Pool{New: func() any { return make(chan *msg, 1) }}
 
 // timerPool recycles dispatch-deadline timers, replacing the
 // context.WithTimeout allocation quartet on the hot path. Timers are
@@ -760,36 +760,53 @@ func timerPut(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// dispatch sends a task to a client and awaits its result, bounded by
-// the per-dispatch deadline and the client's in-flight limit. The
-// caller owns the returned msg and must msgRelease it.
-func (m *Master) dispatch(ctx context.Context, c *masterClient, t cg.Task) (*msg, error) {
+// errConnLost fails a call whose client connection was declared dead
+// before its request frame left.
+var errConnLost = errors.New("webcom: client connection lost")
+
+// call is the one master→client round trip: it sends req, a schedule or
+// a delegate frame, and awaits the closing result frame. The request is
+// admitted through the master's lifecycle, so Shutdown drains it, and
+// takes one of the client's in-flight slots under the deadline of its
+// kind (DispatchTimeout or DelegateTimeout). call assigns req.TaskID
+// and stamps the trace identifiers; the caller keeps ownership of req.
+// Streamed delegate_result frames that arrive before the closing frame
+// are handed to onFrame, which only a delegation passes: with a
+// callback the waiter is a buffered channel, without one the pooled
+// one-shot waiter, so a task dispatch allocates nothing. On a timeout
+// or cancellation the waiter is withdrawn and req.TaskID stays set, so
+// the caller can tell the client to stop. The caller owns the returned
+// msg and must msgRelease it.
+func (c *masterClient) call(ctx context.Context, req *msg, onFrame func(node, result string)) (*msg, error) {
+	m := c.m
 	if !m.srv.Begin() {
 		return nil, errMasterClosed
 	}
 	defer m.srv.End()
-	rp := m.Retry.withDefaults(m.MaxAttempts)
+	rp := m.Retry.withDefaults()
+	spanName, latency, timeout := "webcom.dispatch", "webcom.dispatch.latency", rp.DispatchTimeout
+	if req.Type == msgDelegate {
+		spanName, latency, timeout = "webcom.delegate.dispatch", "webcom.delegate.latency", rp.DelegateTimeout
+	}
 
-	ctx, span := telemetry.StartSpan(ctx, "webcom.dispatch")
+	ctx, span := telemetry.StartSpan(ctx, spanName)
 	defer span.Finish()
 	span.SetAttr("client", c.name)
-	m.Tel.Counter("webcom.dispatch.total").Inc()
 	start := time.Now()
 	c.load.begin()
 	defer func() {
 		// One observation point feeds both the telemetry histogram and
 		// the scheduler's per-client EWMA, success or failure alike — a
-		// timed-out dispatch is exactly the signal that should push a
+		// timed-out call is exactly the signal that should push a
 		// client down the placement order.
 		d := time.Since(start)
 		c.load.end(d)
-		m.Tel.Histogram("webcom.dispatch.latency").ObserveDuration(d)
+		m.Tel.Histogram(latency).ObserveDuration(d)
 	}()
 
-	// The dispatch deadline rides a pooled timer instead of a derived
-	// context; the timer also bounds the backpressure wait below, so the
-	// total budget matches the old context.WithTimeout semantics.
-	tm := timerGet(rp.DispatchTimeout)
+	// The deadline rides a pooled timer instead of a derived context;
+	// it also bounds the backpressure wait below.
+	tm := timerGet(timeout)
 	defer timerPut(tm)
 
 	// Backpressure: wait for one of the client's in-flight slots.
@@ -797,43 +814,42 @@ func (m *Master) dispatch(ctx context.Context, c *masterClient, t cg.Task) (*msg
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-c.died:
-		return nil, errors.New("webcom: client connection lost")
+		return nil, errConnLost
 	case <-tm.C:
 		return nil, context.DeadlineExceeded
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 
+	pooled := onFrame == nil
+	var ch chan *msg
+	if pooled {
+		ch = waiterPool.Get().(chan *msg)
+	} else {
+		// The buffer absorbs a burst of progress frames; the read loop
+		// drops, never blocks on, frames beyond it.
+		ch = make(chan *msg, 64)
+	}
 	id := m.nextID.Add(1)
-
-	w := waiterPool.Get().(*waiter)
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
-		waiterPool.Put(w)
-		return nil, errors.New("webcom: client connection lost")
+		if pooled {
+			waiterPool.Put(ch)
+		}
+		return nil, errConnLost
 	}
-	c.pending[id] = w.ch
+	c.pending[id] = ch
 	c.mu.Unlock()
 
-	sched := msgAcquire()
-	sched.Type = msgSchedule
-	sched.TaskID = id
-	sched.Op = t.OpName
-	sched.Args = append(sched.Args[:0], t.Args...)
-	sched.Annotations = t.Annotations
+	req.TaskID = id
 	if span != nil {
-		// Carry the trace across the wire so the client's execution
-		// spans parent under this dispatch span.
-		sched.TraceID = span.TraceID
-		sched.SpanID = span.SpanID
+		// Carry the trace across the wire so the client's spans parent
+		// under this one.
+		req.TraceID = span.TraceID
+		req.SpanID = span.SpanID
 	}
-	err := c.conn.send(sched)
-	// send serialises synchronously; the frame no longer references the
-	// msg once it returns.
-	sched.Annotations = nil // caller-owned; don't let release clear it
-	msgRelease(sched)
-	if err != nil {
+	if err := c.conn.send(req); err != nil {
 		// A send failure usually means the connection is dying, and
 		// fail() may already be iterating a pending map that contains
 		// this waiter — abandon it rather than risk pooling a channel a
@@ -841,28 +857,42 @@ func (m *Master) dispatch(ctx context.Context, c *masterClient, t cg.Task) (*msg
 		c.withdraw(id)
 		return nil, err
 	}
-	select {
-	case r := <-w.ch:
-		waiterPool.Put(w)
-		if r.Err != "" && strings.Contains(r.Err, "connection lost") {
-			err := errors.New(r.Err)
-			msgRelease(r)
-			return nil, err
+	for {
+		select {
+		case r := <-ch:
+			if r.Type == msgDelegateResult {
+				// Advisory per-node progress; the closing frame is the
+				// authoritative answer.
+				m.Tel.Counter("webcom.delegate.frames.streamed").Inc()
+				if onFrame != nil {
+					onFrame(r.Node, r.Result)
+				}
+				msgRelease(r)
+				continue
+			}
+			if pooled {
+				waiterPool.Put(ch)
+			}
+			if r.Err != "" && strings.Contains(r.Err, "connection lost") {
+				err := errors.New(r.Err)
+				msgRelease(r)
+				return nil, err
+			}
+			// The client ships its finished spans for this trace back
+			// with the result; merging them here keeps one connected
+			// chain per request visible from this tier's /traces
+			// endpoint — and, on a sub-master, forwardable another hop up.
+			if len(r.Spans) > 0 {
+				telemetry.TracerFrom(ctx).Ingest(r.Spans)
+			}
+			return r, nil
+		case <-tm.C:
+			c.withdraw(id)
+			return nil, context.DeadlineExceeded
+		case <-ctx.Done():
+			c.withdraw(id)
+			return nil, ctx.Err()
 		}
-		// The client ships its finished spans for this trace back with
-		// the result; merging them here keeps one connected chain per
-		// task visible from this tier's /traces endpoint — and, on a
-		// sub-master, forwardable another hop up.
-		if len(r.Spans) > 0 {
-			telemetry.TracerFrom(ctx).Ingest(r.Spans)
-		}
-		return r, nil
-	case <-tm.C:
-		c.withdraw(id)
-		return nil, context.DeadlineExceeded
-	case <-ctx.Done():
-		c.withdraw(id)
-		return nil, ctx.Err()
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // so existing callers keep working untouched.
 type RetryPolicy struct {
 	// MaxAttempts bounds scheduling attempts per task, counting rounds
-	// spent waiting for a client to become available. Default 3 (or the
-	// master's legacy MaxAttempts field when that is set).
+	// spent waiting for a client to become available. Default 3.
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; each further
 	// retry doubles it. Default 25ms.
@@ -55,10 +54,7 @@ type RetryPolicy struct {
 	SpeculateAfter float64
 }
 
-func (p RetryPolicy) withDefaults(legacyMaxAttempts int) RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = legacyMaxAttempts
-	}
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}

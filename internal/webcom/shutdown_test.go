@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,5 +125,178 @@ func TestMasterShutdownTimeoutSevers(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("run did not fail after its client was severed")
+	}
+}
+
+// TestMasterShutdownDrainsDelegation: a delegated subgraph is an
+// admitted request like a dispatched task. A graceful shutdown started
+// while one evaluates waits for its result, and the run completes.
+func TestMasterShutdownDrainsDelegation(t *testing.T) {
+	started := make(chan struct{}, 2) // wing fires two doubles
+	release := make(chan struct{})
+	local := func(int) map[string]func([]string) (string, error) {
+		return map[string]func([]string) (string, error){
+			"double": func(args []string) (string, error) {
+				started <- struct{}{}
+				<-release
+				n, err := strconv.Atoi(args[0])
+				return strconv.Itoa(2 * n), err
+			},
+		}
+	}
+	env := newTwoTierEnv(t, 1, tierOpts{retry: fastRetry(), live: fastLive(), local: local})
+
+	type runResult struct {
+		out string
+		err error
+	}
+	runDone := make(chan runResult, 1)
+	go func() {
+		out, _, err := env.root.Run(context.Background(), &cg.Engine{Library: fedLibrary(t), Workers: 4}, soloGraph(t), nil)
+		runDone <- runResult{out, err}
+	}()
+	<-started
+
+	shutDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutDone <- env.root.Shutdown(ctx)
+	}()
+	// Once the master refuses new requests, Shutdown is draining.
+	for env.root.srv.Begin() {
+		env.root.srv.End()
+		runtime.Gosched()
+	}
+	select {
+	case err := <-shutDone:
+		t.Fatalf("shutdown returned before the delegation drained: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-shutDone; err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	if r := <-runDone; r.err != nil || r.out != "16" {
+		t.Fatalf("delegated run under shutdown: %q %v", r.out, r.err)
+	}
+}
+
+// TestClientCloseWaitsForTask: Close returns only once a task the
+// client is executing has finished, so no task runs, or writes its
+// result, after Close.
+func TestClientCloseWaitsForTask(t *testing.T) {
+	env := newTestEnv(t, "X")
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var finished atomic.Bool
+	cl := env.attach("X", map[string]func([]string) (string, error){
+		"slow": func(args []string) (string, error) {
+			close(started)
+			<-release
+			finished.Store(true)
+			return "done", nil
+		},
+	})
+	waitClients(t, env.master, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		env.master.Run(ctx, &cg.Engine{}, slowGraph(t), nil)
+	}()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+	<-started
+
+	closeDone := make(chan struct{})
+	go func() {
+		cl.Close()
+		close(closeDone)
+	}()
+	select {
+	case <-closeDone:
+		close(release)
+		t.Fatal("Close returned while its task still ran")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-closeDone
+	if !finished.Load() {
+		t.Fatal("Close returned before its task finished")
+	}
+}
+
+// TestClientCloseCancelsDelegation: Close cancels the context a
+// delegation evaluates under, so a subgraph waiting in context-aware
+// work (here the sub-master's scheduler, retrying with no clients of
+// its own) ends at once instead of holding Close until DelegateTimeout.
+func TestClientCloseCancelsDelegation(t *testing.T) {
+	retry := fastRetry()
+	retry.MaxAttempts = 1 << 30
+	retry.DelegateTimeout = time.Minute
+	started := make(chan struct{})
+	var once sync.Once
+	env := newTwoTierEnv(t, 1, tierOpts{retry: retry, live: fastLive(),
+		local: func(int) map[string]func([]string) (string, error) {
+			return map[string]func([]string) (string, error){
+				"mark": func(args []string) (string, error) {
+					once.Do(func() { close(started) })
+					return args[0], nil
+				},
+			}
+		}})
+
+	// relay(x) = double(mark(x)): mark runs on the sub-master, double is
+	// relayed to the sub-master's own (absent) clients.
+	lib := cg.NewLibrary()
+	w := cg.NewGraph("relay")
+	w.MustAddNode("m", &cg.Opaque{OpName: "mark", OpArity: 1})
+	w.MustAddNode("d", &cg.Opaque{OpName: "double", OpArity: 1})
+	if err := w.BindInput("x", "m", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Connect("m", "d", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetExit("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Define(w); err != nil {
+		t.Fatal(err)
+	}
+	g := cg.NewGraph("main")
+	g.MustAddNode("r", &cg.Condensed{GraphName: "relay", ArityHint: 1})
+	if err := g.SetConst("r", 0, "3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetExit("r"); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		env.root.Run(ctx, &cg.Engine{Library: lib}, g, nil)
+	}()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+	<-started
+
+	closeDone := make(chan struct{})
+	go func() {
+		env.subs[0].Close()
+		close(closeDone)
+	}()
+	select {
+	case <-closeDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for a delegation it should have cancelled")
 	}
 }
