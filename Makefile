@@ -20,13 +20,15 @@ race:
 
 # soak runs the server lifecycle tests — the shared netserve package, the
 # KeyCOM server and daemon, the WebCom master and client Close/Shutdown
-# paths and the CORBA ORB, plus the delegation round trips whose losing
-# speculative branch is awaited — fifty times under the race detector: a
-# Close or Shutdown race is rare per run, so one run proves little.
-SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart|TestSpeculativeSteal|TestDenialNeverSpeculated|TestDelegationStreamsProgress|TestClosureRefMissResent
+# paths and the CORBA ORB, the delegation round trips whose losing
+# speculative branch is awaited, and the daemon harness's signal → drain
+# lifecycle with every daemon built on it — fifty times under the race
+# detector: a Close or Shutdown race is rare per run, so one run proves
+# little.
+SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart|TestSpeculativeSteal|TestDenialNeverSpeculated|TestDelegationStreamsProgress|TestClosureRefMissResent|TestDrainPastTimeoutSevers|TestServeErrorIsReturned|TestCloseErrorFailsShutdown|TestClientDrainsOnStop|TestMasterDrainsOnStop|TestAuthzdAnnouncesCrashRepair
 
 soak:
-	$(GO) test -race -count=50 -timeout 30m -run '$(SOAK_TESTS)' ./internal/netserve/ ./internal/keycom/ ./internal/webcom/ ./internal/middleware/corba/ ./cmd/keycomd/
+	$(GO) test -race -count=50 -timeout 30m -run '$(SOAK_TESTS)' ./internal/netserve/ ./internal/keycom/ ./internal/webcom/ ./internal/middleware/corba/ ./internal/daemon/ ./cmd/keycomd/ ./cmd/authzd/ ./cmd/webcom-master/ ./cmd/webcom-client/
 
 # bench runs the three gated benchmark families -count=5 and compares
 # each median against its recorded BENCH_*.json baseline via
@@ -76,6 +78,8 @@ bench-gateway:
 	rm -f gw_bench.txt
 
 fuzz-smoke:
+	$(GO) test -run Fuzz -fuzz=FuzzVerify -fuzztime=10s ./internal/gateway/jwtbridge
+	$(GO) test -run Fuzz -fuzz=FuzzUpdateRequestVerify -fuzztime=10s ./internal/keycom
 	$(GO) test -run Fuzz -fuzz=FuzzMsgDecode -fuzztime=10s ./internal/webcom
 	$(GO) test -run Fuzz -fuzz=FuzzCodecRoundTrip -fuzztime=10s ./internal/webcom
 	$(GO) test -run Fuzz -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/webcom

@@ -39,25 +39,17 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"securewebcom/internal/authz"
+	harness "securewebcom/internal/daemon" // the tests name their own type daemon
 	"securewebcom/internal/gateway"
 	"securewebcom/internal/gateway/jwtbridge"
 	"securewebcom/internal/keycom"
-	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
-	"securewebcom/internal/middleware"
-	"securewebcom/internal/middleware/complus"
 	"securewebcom/internal/netserve"
-	"securewebcom/internal/ossec"
 	"securewebcom/internal/telemetry"
 )
-
-// drainTimeout bounds the graceful drain of in-flight requests.
-const drainTimeout = 5 * time.Second
 
 type config struct {
 	addr        string
@@ -96,12 +88,7 @@ func main() {
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-principal burst (0: gateway default)")
 	flag.Parse()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := realMain(cfg, os.Stdout, stop); err != nil {
-		fmt.Fprintln(os.Stderr, "authzd:", err)
-		os.Exit(1)
-	}
+	harness.Main("authzd", func(out io.Writer, stop <-chan os.Signal) error { return realMain(cfg, out, stop) })
 }
 
 // realMain builds the daemon, serves until stop delivers a signal, and
@@ -133,20 +120,17 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 		demoSecret = true
 	}
 
-	signer, err := loadOrGenerateSigner(cfg.signerKey)
+	// The bridge signs every minted credential, so the minting key must
+	// hold its private half.
+	signer, err := keys.LoadOrGenerate(cfg.signerKey, "Kgateway")
 	if err != nil {
 		return err
 	}
 	ks := keys.NewKeyStore()
-	ks.Add(signer)
 
 	// The decision plane: the root policy trusts the minting key alone,
 	// so every admissible query flows through a bridge-minted credential.
-	policy, err := keynote.New("POLICY", fmt.Sprintf("%q", signer.PublicID()), `app_domain=="WebCom";`)
-	if err != nil {
-		return err
-	}
-	chk, err := keynote.NewChecker([]*keynote.Assertion{policy}, keynote.WithResolver(ks))
+	chk, err := harness.Trust(ks, harness.WebComActions, signer)
 	if err != nil {
 		return err
 	}
@@ -167,18 +151,15 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 
 	// The credential plane rides along only when an administrator key is
 	// configured; without one, /v1/credentials answers 503.
+	var plane *harness.KeyCOM
 	var svc *keycom.Service
-	var st *keycom.Store
 	if cfg.admin != "" {
-		admin, err := keys.Load(cfg.admin)
+		plane, err = harness.OpenKeyCOM(harness.KeyCOMConfig{Name: "authzd", Domain: cfg.domain,
+			Admin: cfg.admin, Class: cfg.class, Role: cfg.role, StoreDir: cfg.storeDir}, ks, out)
 		if err != nil {
 			return err
 		}
-		ks.Add(admin)
-		svc, st, err = buildKeyCOM(cfg, admin, ks, out)
-		if err != nil {
-			return err
-		}
+		svc = plane.Service
 	}
 
 	gw, err := gateway.New(gateway.Config{
@@ -193,9 +174,7 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 		Burst:            cfg.burst,
 	})
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
+		plane.Close()
 		return err
 	}
 
@@ -205,9 +184,7 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
+		plane.Close()
 		return err
 	}
 	fmt.Fprintf(out, "authzd listening on %s\n", ln.Addr())
@@ -218,87 +195,7 @@ func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
 	}
 
 	hsrv := netserve.NewHTTPServer(mux)
-	served := make(chan error, 1)
-	go func() { served <- hsrv.Serve(ln) }()
-
-	select {
-	case sig := <-stop:
-		fmt.Fprintf(out, "authzd: %s received, draining\n", sig)
-	case err := <-served:
-		if st != nil {
-			st.Close()
-		}
-		return fmt.Errorf("serve: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := hsrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(out, "authzd: drain timed out, severing connections: %v\n", err)
-		hsrv.Close()
-	}
-	<-served
-	if st != nil {
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("close store: %w", err)
-		}
-	}
-	fmt.Fprintln(out, "authzd: shutdown complete")
-	return nil
-}
-
-// loadOrGenerateSigner loads the gateway minting key pair from path, or
-// generates an ephemeral one when no path is configured. The key must
-// hold its private half: the bridge signs every minted credential.
-func loadOrGenerateSigner(path string) (*keys.KeyPair, error) {
-	if path == "" {
-		return keys.Generate("Kgateway")
-	}
-	kp, err := keys.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if kp.Private == nil {
-		return nil, fmt.Errorf("signer key %s holds no private half", path)
-	}
-	return kp, nil
-}
-
-// buildKeyCOM assembles the credential plane: a COM+ catalogue, a
-// checker whose policy trusts the administrator for all KeyCOM actions,
-// and (optionally) a durable store replayed from disk.
-func buildKeyCOM(cfg config, admin *keys.KeyPair, ks *keys.KeyStore, out io.Writer) (*keycom.Service, *keycom.Store, error) {
-	nt := ossec.NewNTDomain(cfg.domain)
-	cat := complus.NewCatalogue("authzd", nt)
-	clsid := cat.RegisterClass(cfg.class, map[string]middleware.Handler{})
-	cat.DefineRole(cfg.role)
-	if err := cat.Grant(cfg.role, cfg.class, complus.PermAccess); err != nil {
-		return nil, nil, err
-	}
-	policy, err := keynote.New("POLICY", fmt.Sprintf("%q", admin.PublicID()), `app_domain=="KeyCOM";`)
-	if err != nil {
-		return nil, nil, err
-	}
-	chk, err := keynote.NewChecker([]*keynote.Assertion{policy}, keynote.WithResolver(ks))
-	if err != nil {
-		return nil, nil, err
-	}
-	svc := keycom.NewService(cat, chk)
-
-	var st *keycom.Store
-	if cfg.storeDir != "" {
-		st, err = keycom.OpenStore(cfg.storeDir, keycom.StoreOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		info := st.RecoveryInfo()
-		fmt.Fprintf(out, "store: %s at seq %d (snapshot seq %d, %d wal frames replayed)\n",
-			cfg.storeDir, st.Seq(), info.SnapshotSeq, info.Replayed)
-		if err := svc.AttachStore(context.Background(), st); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-	}
-	fmt.Fprintf(out, "catalogue: class %s %s, role %s (Access)\n", cfg.class, clsid, cfg.role)
-	fmt.Fprintf(out, "administrator: %s\n", admin.PublicID())
-	return svc, st, nil
+	return harness.Run("authzd", out, stop, func(context.Context) error {
+		return fmt.Errorf("serve: %w", hsrv.Serve(ln))
+	}, hsrv, plane)
 }

@@ -23,25 +23,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	harness "securewebcom/internal/daemon" // the tests name their own type daemon
 	"securewebcom/internal/keycom"
-	"securewebcom/internal/keynote"
 	"securewebcom/internal/keys"
-	"securewebcom/internal/middleware"
-	"securewebcom/internal/middleware/complus"
-	"securewebcom/internal/ossec"
 )
-
-// drainTimeout bounds the graceful drain of in-flight requests.
-const drainTimeout = 5 * time.Second
 
 type config struct {
 	addr     string
@@ -62,88 +52,23 @@ func main() {
 	flag.StringVar(&cfg.storeDir, "store", "", "durable store directory (WAL, snapshots, audit chain); empty keeps the catalogue in memory only")
 	flag.Parse()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := realMain(cfg, os.Stdout, stop); err != nil {
-		fmt.Fprintln(os.Stderr, "keycomd:", err)
-		os.Exit(1)
-	}
+	harness.Main("keycomd", func(out io.Writer, stop <-chan os.Signal) error { return realMain(cfg, out, stop) })
 }
 
 // realMain builds the service, serves until stop delivers a signal, and
 // shuts down gracefully. It is the whole daemon minus process plumbing,
 // so tests can run it in a child process and watch out.
 func realMain(cfg config, out io.Writer, stop <-chan os.Signal) error {
-	if cfg.admin == "" {
-		return fmt.Errorf("pass -admin with the administrator's public-key file")
-	}
-	admin, err := keys.Load(cfg.admin)
+	plane, err := harness.OpenKeyCOM(harness.KeyCOMConfig{Name: "keycomd", Domain: cfg.domain,
+		Admin: cfg.admin, Class: cfg.class, Role: cfg.role, StoreDir: cfg.storeDir}, keys.NewKeyStore(), out)
 	if err != nil {
 		return err
 	}
-	ks := keys.NewKeyStore()
-	ks.Add(admin)
-
-	nt := ossec.NewNTDomain(cfg.domain)
-	cat := complus.NewCatalogue("keycomd", nt)
-	clsid := cat.RegisterClass(cfg.class, map[string]middleware.Handler{})
-	cat.DefineRole(cfg.role)
-	if err := cat.Grant(cfg.role, cfg.class, complus.PermAccess); err != nil {
-		return err
-	}
-
-	policy, err := keynote.New("POLICY", fmt.Sprintf("%q", admin.PublicID()), `app_domain=="KeyCOM";`)
+	srv, err := keycom.ListenAndServe(plane.Service, cfg.addr)
 	if err != nil {
-		return err
-	}
-	chk, err := keynote.NewChecker([]*keynote.Assertion{policy}, keynote.WithResolver(ks))
-	if err != nil {
-		return err
-	}
-	svc := keycom.NewService(cat, chk)
-
-	var st *keycom.Store
-	if cfg.storeDir != "" {
-		st, err = keycom.OpenStore(cfg.storeDir, keycom.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		info := st.RecoveryInfo()
-		fmt.Fprintf(out, "store: %s at seq %d (snapshot seq %d, %d wal frames replayed)\n",
-			cfg.storeDir, st.Seq(), info.SnapshotSeq, info.Replayed)
-		if info.TornWALBytes > 0 || info.TornAuditBytes > 0 || info.AuditRepaired > 0 {
-			fmt.Fprintf(out, "store: crash repair: %d torn wal bytes discarded, %d torn audit bytes discarded, %d audit lines rebuilt from the wal\n",
-				info.TornWALBytes, info.TornAuditBytes, info.AuditRepaired)
-		}
-		if err := svc.AttachStore(context.Background(), st); err != nil {
-			st.Close()
-			return err
-		}
-	}
-
-	srv, err := keycom.ListenAndServe(svc, cfg.addr)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
+		plane.Close()
 		return err
 	}
 	fmt.Fprintf(out, "keycomd administering NT domain %s on %s\n", cfg.domain, srv.Addr())
-	fmt.Fprintf(out, "catalogue: class %s %s, role %s (Access)\n", cfg.class, clsid, cfg.role)
-	fmt.Fprintf(out, "administrator: %s\n", admin.PublicID())
-
-	sig := <-stop
-	fmt.Fprintf(out, "keycomd: %s received, draining\n", sig)
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(out, "keycomd: drain timed out, severing connections: %v\n", err)
-	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			return fmt.Errorf("close store: %w", err)
-		}
-	}
-	fmt.Fprintln(out, "keycomd: shutdown complete")
-	return nil
+	return harness.Run("keycomd", out, stop, nil, srv, plane)
 }

@@ -95,15 +95,9 @@ func cmdKeygen(args []string) error {
 	if *name == "" || *out == "" {
 		return fmt.Errorf("keygen requires -name and -out")
 	}
-	var kp *keys.KeyPair
-	var err error
-	if *seed != "" {
-		kp = keys.Deterministic(*name, *seed)
-	} else {
-		kp, err = keys.Generate(*name)
-		if err != nil {
-			return err
-		}
+	kp, err := keys.New(*name, *seed)
+	if err != nil {
+		return err
 	}
 	if err := kp.Save(*out, true); err != nil {
 		return err
@@ -121,18 +115,11 @@ func cmdSign(args []string) error {
 	if *keyPath == "" || *in == "" {
 		return fmt.Errorf("sign requires -key and -in")
 	}
-	kp, err := keys.Load(*keyPath)
+	kp, err := keys.LoadPrivate(*keyPath)
 	if err != nil {
 		return err
 	}
-	if kp.Private == nil {
-		return fmt.Errorf("%s holds no private key", *keyPath)
-	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	asserts, err := keynote.ParseAll(string(data))
+	asserts, err := readAssertions(*in)
 	if err != nil {
 		return err
 	}
@@ -165,11 +152,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	asserts, err := keynote.ParseAll(string(data))
+	asserts, err := readAssertions(*in)
 	if err != nil {
 		return err
 	}
@@ -193,11 +176,7 @@ func cmdFmt(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("fmt requires -in")
 	}
-	data, err := os.ReadFile(*in)
-	if err != nil {
-		return err
-	}
-	asserts, err := keynote.ParseAll(string(data))
+	asserts, err := readAssertions(*in)
 	if err != nil {
 		return err
 	}
@@ -229,21 +208,13 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	policyData, err := os.ReadFile(*policyPath)
-	if err != nil {
-		return err
-	}
-	policy, err := keynote.ParseAll(string(policyData))
+	policy, err := readAssertions(*policyPath)
 	if err != nil {
 		return err
 	}
 	var creds []*keynote.Assertion
 	if *credsPath != "" {
-		data, err := os.ReadFile(*credsPath)
-		if err != nil {
-			return err
-		}
-		creds, err = keynote.ParseAll(string(data))
+		creds, err = readAssertions(*credsPath)
 		if err != nil {
 			return err
 		}
@@ -311,4 +282,13 @@ func (a *attrFlags) Set(s string) error {
 	}
 	a.m[s[:eq]] = s[eq+1:]
 	return nil
+}
+
+// readAssertions parses every assertion in a KeyNote file.
+func readAssertions(path string) ([]*keynote.Assertion, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return keynote.ParseAll(string(data))
 }

@@ -18,9 +18,11 @@
 // loop). With -rate > 0 it is open-loop: arrivals fire at the given
 // rate into a bounded queue the workers drain; when the server falls
 // behind and the queue fills, further arrivals are counted as dropped
-// rather than queued without bound — the coordinated-omission-aware
-// hybrid. Latency quantiles are computed over admitted (200) responses
-// only; 429s are tallied as sheds.
+// rather than queued without bound. Open-loop latency runs from each
+// arrival's scheduled send time, so time spent queued behind a slow
+// server counts (no coordinated omission). Latency quantiles are
+// computed over admitted (200) responses only; 429s are tallied as
+// sheds.
 //
 // The run ends after -duration (or -requests, whichever comes first)
 // and prints a single JSON summary line to stdout for machines (CI
@@ -168,7 +170,9 @@ func run(cfg config, log io.Writer) (*summary, error) {
 		return time.Now().Before(deadline)
 	}
 
-	shoot := func(user uint64, opIdx int) {
+	// shoot sends one request and times it from due, when it was meant
+	// to go out, so an open-loop arrival counts its wait in the queue.
+	shoot := func(user uint64, opIdx int, due time.Time) {
 		tok := gen.token(user)
 		req, err := http.NewRequest(http.MethodPost, cfg.target+"/v1/decide",
 			bytes.NewReader(bodies[opIdx%len(bodies)]))
@@ -177,7 +181,6 @@ func run(cfg config, log io.Writer) (*summary, error) {
 			return
 		}
 		req.Header.Set("Authorization", "Bearer "+tok)
-		start := time.Now()
 		resp, err := client.Do(req)
 		if err != nil {
 			errors.Add(1)
@@ -185,7 +188,7 @@ func run(cfg config, log io.Writer) (*summary, error) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		elapsed := time.Since(start)
+		elapsed := time.Since(due)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			ok200.Add(1)
@@ -199,55 +202,58 @@ func run(cfg config, log io.Writer) (*summary, error) {
 		}
 	}
 
+	// next hands a worker its next request and the instant it was due.
+	// Closed loop: each worker keeps one request outstanding.
+	type arrival struct {
+		user uint64
+		due  time.Time
+	}
+	next := func() (arrival, bool) {
+		if !budget() {
+			return arrival{}, false
+		}
+		issued.Add(1)
+		return arrival{pick(), time.Now()}, true
+	}
+	// Open loop: arrival i is due at startedAt + i·interval, not at a
+	// ticker's tick (a ticker drops ticks under load), and waits in a
+	// bounded queue the workers drain; a full queue drops the arrival,
+	// so a slow server cannot make the client accumulate unbounded
+	// backlog.
+	var queue chan arrival
+	if cfg.rate > 0 {
+		queue = make(chan arrival, cfg.queueCap)
+		next = func() (arrival, bool) { a, ok := <-queue; return a, ok }
+	}
+
 	startedAt := time.Now()
 	var wg sync.WaitGroup
-	if cfg.rate > 0 {
-		// Open loop: a ticker fires arrivals into a bounded queue; full
-		// queue = dropped arrival, so a slow server cannot make the
-		// client accumulate unbounded backlog (and the measured latency
-		// is not serialised behind it either).
-		queue := make(chan uint64, cfg.queueCap)
-		for w := 0; w < cfg.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				n := w
-				for user := range queue {
-					n++
-					shoot(user, n)
-				}
-			}(w)
-		}
+	for w := 0; w < cfg.workers; w++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for a, ok := next(); ok; a, ok = next() {
+				n++
+				shoot(a.user, n, a.due)
+			}
+		}(w)
+	}
+	if queue != nil {
 		interval := time.Duration(float64(time.Second) / cfg.rate)
 		if interval <= 0 {
 			interval = time.Microsecond
 		}
-		tick := time.NewTicker(interval)
-		for budget() {
-			<-tick.C
+		for i := time.Duration(0); budget(); i++ {
+			due := startedAt.Add(i * interval)
+			time.Sleep(time.Until(due))
 			issued.Add(1)
 			select {
-			case queue <- pick():
+			case queue <- arrival{pick(), due}:
 			default:
 				dropped.Add(1)
 			}
 		}
-		tick.Stop()
 		close(queue)
-	} else {
-		// Closed loop: each worker keeps one request outstanding.
-		for w := 0; w < cfg.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				n := w
-				for budget() {
-					issued.Add(1)
-					n++
-					shoot(pick(), n)
-				}
-			}(w)
-		}
 	}
 	wg.Wait()
 	elapsed := time.Since(startedAt)

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -160,5 +161,34 @@ func TestLoadgenRefusesBadConfig(t *testing.T) {
 		if _, err := run(cfg, io.Discard); err == nil {
 			t.Errorf("%s: run accepted a bad config", name)
 		}
+	}
+}
+
+// TestLoadgenOpenLoopCountsQueueing: arrivals every 10 ms against one
+// worker and a server that takes 20 ms per request queue up behind it.
+// Latency runs from each arrival's scheduled send time, so p99 must
+// show that wait, far above the bare 20 ms service time.
+func TestLoadgenOpenLoopCountsQueueing(t *testing.T) {
+	const service = 20 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(service)
+	}))
+	t.Cleanup(ts.Close)
+	cfg := smokeConfig(ts.URL)
+	cfg.workers = 1
+	cfg.rate = 100
+	cfg.queueCap = 4096
+	cfg.requests = 0
+	cfg.duration = 500 * time.Millisecond
+	sum, err := run(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Errors != 0 || sum.Dropped != 0 || sum.OK != sum.Requests {
+		t.Fatalf("every arrival should be served: %+v", sum)
+	}
+	if floor := 3 * float64(service) / float64(time.Millisecond); sum.P99Ms < floor {
+		t.Fatalf("p99 %.1f ms with a %v service time and a growing queue; want above %.0f ms", sum.P99Ms, service, floor)
 	}
 }

@@ -206,21 +206,13 @@ func cmdCheck(args []string) error {
 	if *policyPath == "" || *authorizer == "" {
 		return fmt.Errorf("check requires -policy and -authorizer")
 	}
-	data, err := os.ReadFile(*policyPath)
-	if err != nil {
-		return err
-	}
-	policy, err := keynote.ParseAll(string(data))
+	policy, err := readAssertions(*policyPath)
 	if err != nil {
 		return err
 	}
 	var creds []*keynote.Assertion
 	if *credsPath != "" {
-		data, err := os.ReadFile(*credsPath)
-		if err != nil {
-			return err
-		}
-		creds, err = keynote.ParseAll(string(data))
+		creds, err = readAssertions(*credsPath)
 		if err != nil {
 			return err
 		}
@@ -273,20 +265,13 @@ func cmdRemoteExtract(args []string) error {
 	if *addr == "" || *keyPath == "" {
 		return fmt.Errorf("remote-extract requires -addr and -key")
 	}
-	kp, err := keys.Load(*keyPath)
+	kp, err := keys.LoadPrivate(*keyPath)
 	if err != nil {
 		return err
 	}
-	if kp.Private == nil {
-		return fmt.Errorf("%s holds no private key", *keyPath)
-	}
 	req := &keycom.ExtractRequest{Requester: kp.PublicID()}
 	if *credsPath != "" {
-		data, err := os.ReadFile(*credsPath)
-		if err != nil {
-			return err
-		}
-		asserts, err := keynote.ParseAll(string(data))
+		asserts, err := readAssertions(*credsPath)
 		if err != nil {
 			return err
 		}
@@ -387,25 +372,16 @@ func cmdEncode(args []string) error {
 	if err != nil {
 		return err
 	}
-	admin, err := keys.Load(*adminPath)
+	admin, err := keys.LoadPrivate(*adminPath)
 	if err != nil {
 		return err
-	}
-	if admin.Private == nil {
-		return fmt.Errorf("admin key file holds no private key")
 	}
 
 	resolver := func(u rbac.User) (string, error) {
 		name := "K" + strings.ToLower(string(u))
-		var kp *keys.KeyPair
-		if *seed != "" {
-			kp = keys.Deterministic(name, *seed)
-		} else {
-			var err error
-			kp, err = keys.Generate(name)
-			if err != nil {
-				return "", err
-			}
+		kp, err := keys.New(name, *seed)
+		if err != nil {
+			return "", err
 		}
 		if *keyDir != "" {
 			if err := os.MkdirAll(*keyDir, 0o700); err != nil {
@@ -464,21 +440,13 @@ func cmdDecode(args []string) error {
 	if *policyPath == "" {
 		return fmt.Errorf("decode requires -policy")
 	}
-	data, err := os.ReadFile(*policyPath)
-	if err != nil {
-		return err
-	}
-	policies, err := keynote.ParseAll(string(data))
+	policies, err := readAssertions(*policyPath)
 	if err != nil {
 		return err
 	}
 	var creds []*keynote.Assertion
 	if *credsPath != "" {
-		data, err := os.ReadFile(*credsPath)
-		if err != nil {
-			return err
-		}
-		creds, err = keynote.ParseAll(string(data))
+		creds, err = readAssertions(*credsPath)
 		if err != nil {
 			return err
 		}
@@ -661,4 +629,13 @@ func (f *mapFlags) Set(s string) error {
 	}
 	f.m[s[:eq]] = s[eq+1:]
 	return nil
+}
+
+// readAssertions parses every assertion in a KeyNote file.
+func readAssertions(path string) ([]*keynote.Assertion, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return keynote.ParseAll(string(data))
 }

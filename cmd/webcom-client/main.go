@@ -21,36 +21,33 @@
 //
 //	webcom-client -master root:7070 -name S0 -trust-master root.pub \
 //	    -submaster-addr :7071 -submaster-trust leaf0.pub -submaster-trust leaf1.pub
+//
+// SIGINT/SIGTERM drain the embedded master, then close the client.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"securewebcom/internal/authz"
-	"securewebcom/internal/keynote"
+	"securewebcom/internal/daemon"
 	"securewebcom/internal/keys"
 	"securewebcom/internal/middleware"
 	"securewebcom/internal/middleware/ejb"
 	"securewebcom/internal/webcom"
 )
 
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
 // opts carries the parsed command line.
 type opts struct {
 	masterAddr, name, keyPath string
 	trustMaster, policyPath   string
 	subAddr, subPolicyPath    string
-	codec                     string
-	subTrust                  []string
-	demoEJB, trace            bool
-	live                      webcom.Liveness
+	subTrust                  daemon.Strings
+	demoEJB                   bool
+	peer                      daemon.PeerFlags
 	reconnect                 webcom.ReconnectPolicy
 }
 
@@ -62,13 +59,11 @@ func main() {
 	flag.StringVar(&o.trustMaster, "trust-master", "", "master public-key file the client trusts")
 	flag.StringVar(&o.policyPath, "policy", "", "KeyNote policy file for authorising masters")
 	flag.BoolVar(&o.demoEJB, "demo-ejb", false, "host the demo Salaries EJB container")
-	flag.BoolVar(&o.trace, "trace", false, "log every authorisation denial with its full decision trace")
-	flag.StringVar(&o.codec, "codec", "", "wire codec: empty/\"binary\" negotiates the binary framed codec, \"json\" pins the JSON fallback")
+	o.peer.Register(flag.CommandLine, "the master")
 
 	// Sub-master (hierarchical federation) knobs.
 	flag.StringVar(&o.subAddr, "submaster-addr", "", "run an embedded master for leaf clients on this address (empty disables)")
-	var subTrust multiFlag
-	flag.Var(&subTrust, "submaster-trust", "leaf-client public-key file the embedded master trusts (repeatable)")
+	flag.Var(&o.subTrust, "submaster-trust", "leaf-client public-key file the embedded master trusts (repeatable)")
 	flag.StringVar(&o.subPolicyPath, "submaster-policy", "", "KeyNote policy file for the embedded master's leaf clients")
 
 	// Fault-tolerance knobs; 0 means the library default.
@@ -76,146 +71,46 @@ func main() {
 	flag.IntVar(&o.reconnect.MaxAttempts, "reconnect-attempts", 0, "redial attempts per outage; negative = forever (0 = default 8)")
 	flag.DurationVar(&o.reconnect.BaseBackoff, "reconnect-backoff", 0, "base redial backoff (0 = default 50ms)")
 	flag.DurationVar(&o.reconnect.MaxBackoff, "reconnect-max-backoff", 0, "redial backoff cap (0 = default 5s)")
-	flag.DurationVar(&o.live.PingInterval, "ping-interval", 0, "heartbeat interval (0 = default 15s)")
-	flag.DurationVar(&o.live.IdleTimeout, "idle-timeout", 0, "silence before the master is declared dead (0 = default 45s)")
-	flag.DurationVar(&o.live.HandshakeTimeout, "handshake-timeout", 0, "handshake read deadline (0 = default 10s)")
 	flag.Parse()
-	o.subTrust = subTrust
 
-	if err := realMain(o); err != nil {
-		fmt.Fprintln(os.Stderr, "webcom-client:", err)
-		os.Exit(1)
-	}
+	daemon.Main("webcom-client", func(out io.Writer, stop <-chan os.Signal) error { return realMain(o, out, stop) })
 }
 
-func realMain(o opts) error {
-	masterAddr, name, keyPath := o.masterAddr, o.name, o.keyPath
-	trustMaster, policyPath, demoEJB := o.trustMaster, o.policyPath, o.demoEJB
+// realMain connects the client and serves its master until the
+// connection ends for good or stop delivers a signal.
+func realMain(o opts, out io.Writer, stop <-chan os.Signal) error {
+	clientKey, err := keys.LoadOrGenerate(o.keyPath, "K"+o.name)
+	if err != nil {
+		return err
+	}
 	ks := keys.NewKeyStore()
-	var clientKey *keys.KeyPair
-	var err error
-	if keyPath != "" {
-		clientKey, err = keys.Load(keyPath)
-		if err != nil {
-			return err
-		}
-		if clientKey.Private == nil {
-			return fmt.Errorf("%s holds no private key", keyPath)
-		}
-	} else {
-		clientKey, err = keys.Generate("K" + name)
-		if err != nil {
-			return err
-		}
-	}
 	ks.Add(clientKey)
-
-	var policy []*keynote.Assertion
-	if trustMaster != "" {
-		kp, err := keys.Load(trustMaster)
-		if err != nil {
-			return err
-		}
-		ks.Add(kp)
-		a, err := keynote.New("POLICY", fmt.Sprintf("%q", kp.PublicID()), `app_domain=="WebCom";`)
-		if err != nil {
-			return err
-		}
-		policy = append(policy, a)
+	chk, _, err := daemon.TrustPolicy(ks, "master", []string{o.trustMaster}, o.policyPath)
+	if err != nil {
+		return err
 	}
-	if policyPath != "" {
-		data, err := os.ReadFile(policyPath)
-		if err != nil {
-			return err
-		}
-		more, err := keynote.ParseAll(string(data))
-		if err != nil {
-			return err
-		}
-		policy = append(policy, more...)
-	}
-	var chk *keynote.Checker
-	if len(policy) > 0 {
-		chk, err = keynote.NewChecker(policy, keynote.WithResolver(ks))
-		if err != nil {
-			return err
-		}
-	} else {
+	if chk == nil {
 		fmt.Fprintln(os.Stderr, "warning: no -trust-master/-policy; any authenticated master will be obeyed")
 	}
 
 	cl := &webcom.Client{
-		Name:      name,
+		Name:      o.name,
 		Key:       clientKey,
-		Codec:     o.codec,
+		Codec:     o.peer.Codec,
 		Checker:   chk,
-		Live:      o.live,
+		Live:      o.peer.Live,
 		Reconnect: o.reconnect,
 		Local: map[string]func([]string) (string, error){
 			"echo": func(args []string) (string, error) {
 				return strings.Join(args, " "), nil
 			},
-			"hostname": func([]string) (string, error) {
-				h, err := os.Hostname()
-				return h, err
-			},
+			"hostname": func([]string) (string, error) { return os.Hostname() },
 		},
 	}
+	o.peer.TraceDenials(cl.Audit())
 
-	if o.trace {
-		cl.Audit().SetSink(func(e authz.AuditEntry) {
-			fmt.Fprintf(os.Stderr, "trace: %s", e.String())
-		})
-	}
-
-	if o.subAddr != "" {
-		var subPolicy []*keynote.Assertion
-		for _, path := range o.subTrust {
-			kp, err := keys.Load(path)
-			if err != nil {
-				return err
-			}
-			ks.Add(kp)
-			a, err := keynote.New("POLICY", fmt.Sprintf("%q", kp.PublicID()), `app_domain=="WebCom";`)
-			if err != nil {
-				return err
-			}
-			subPolicy = append(subPolicy, a.WithComment("trusted leaf "+kp.Name))
-		}
-		if o.subPolicyPath != "" {
-			data, err := os.ReadFile(o.subPolicyPath)
-			if err != nil {
-				return err
-			}
-			more, err := keynote.ParseAll(string(data))
-			if err != nil {
-				return err
-			}
-			subPolicy = append(subPolicy, more...)
-		}
-		if len(subPolicy) == 0 {
-			return fmt.Errorf("no leaf client authorised: pass -submaster-trust or -submaster-policy with -submaster-addr")
-		}
-		subChk, err := keynote.NewChecker(subPolicy, keynote.WithResolver(ks))
-		if err != nil {
-			return err
-		}
-		// The embedded master signs as the same principal the client
-		// authenticates with, so the delegation credential the root mints
-		// for this client is exactly the one the subgraph runs under.
-		sub := webcom.NewMaster(clientKey, subChk, nil, ks)
-		sub.Live = o.live
-		if err := sub.Listen(o.subAddr); err != nil {
-			return err
-		}
-		defer sub.Close()
-		cl.Sub = sub
-		fmt.Printf("embedded sub-master listening on %s (%d policy assertions)\n",
-			sub.Addr(), len(subPolicy))
-	}
-
-	if demoEJB {
-		srv := ejb.NewServer("ejb-"+name, "host-"+name, "srv")
+	if o.demoEJB {
+		srv := ejb.NewServer("ejb-"+o.name, "host-"+o.name, "srv")
 		c := srv.CreateContainer("finance")
 		salaries := map[string]string{"Bob": "52000", "Alice": "41000"}
 		c.DeployBean("Salaries", map[string]middleware.Handler{
@@ -249,14 +144,44 @@ func realMain(o opts) error {
 			return err
 		}
 		cl.Registry = reg
-		fmt.Printf("demo EJB container at domain host-%s/srv/finance (bean Salaries)\n", name)
+		fmt.Fprintf(out, "demo EJB container at domain host-%s/srv/finance (bean Salaries)\n", o.name)
 	}
 
-	if err := cl.Connect(masterAddr); err != nil {
+	// The embedded master drains before the client closes, so a
+	// delegated subgraph's in-flight leaf tasks can finish.
+	var closers []io.Closer
+	if o.subAddr != "" {
+		subChk, n, err := daemon.TrustPolicy(ks, "leaf", o.subTrust, o.subPolicyPath)
+		if err != nil {
+			return err
+		}
+		if subChk == nil {
+			return fmt.Errorf("no leaf client authorised: pass -submaster-trust or -submaster-policy with -submaster-addr")
+		}
+		// The embedded master signs as the same principal the client
+		// authenticates with, so the delegation credential the root mints
+		// for this client is exactly the one the subgraph runs under.
+		sub := webcom.NewMaster(clientKey, subChk, nil, ks)
+		sub.Live = o.peer.Live
+		if err := sub.Listen(o.subAddr); err != nil {
+			return err
+		}
+		closers = append(closers, sub)
+		cl.Sub = sub
+		fmt.Fprintf(out, "embedded sub-master listening on %s (%d policy assertions)\n", sub.Addr(), n)
+	}
+	closers = append(closers, cl)
+
+	if err := cl.Connect(o.masterAddr); err != nil {
+		for _, c := range closers {
+			c.Close()
+		}
 		return err
 	}
-	fmt.Printf("webcom-client %s (%s...) connected to master %s...\n",
-		name, clientKey.PublicID()[:24], cl.Master()[:24])
-	cl.Wait()
-	return nil
+	fmt.Fprintf(out, "webcom-client %s (%s...) connected to master %s...\n",
+		o.name, clientKey.PublicID()[:24], cl.Master()[:24])
+	return daemon.Run("webcom-client", out, stop, func(context.Context) error {
+		cl.Wait()
+		return nil
+	}, closers...)
 }

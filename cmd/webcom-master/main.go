@@ -13,45 +13,37 @@
 // finer-grained policies write a policy file and pass -policy instead.
 // With -run, the master waits for -wait-clients connections, executes the
 // single-operation graph "<op> <args...>" and exits; otherwise it serves
-// until interrupted.
+// until interrupted. Either way SIGINT/SIGTERM drain it gracefully.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"securewebcom/internal/authz"
 	"securewebcom/internal/cg"
-	"securewebcom/internal/keynote"
+	"securewebcom/internal/daemon"
 	"securewebcom/internal/keys"
 	"securewebcom/internal/netserve"
 	"securewebcom/internal/telemetry"
 	"securewebcom/internal/webcom"
 )
 
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
-
 // opts carries the parsed command line.
 type opts struct {
 	addr, keyPath, policyPath  string
 	run, graphPath, inputsFlag string
 	metricsAddr                string
-	codec                      string
 	waitClients                int
-	trace                      bool
-	trust                      []string
+	trust                      daemon.Strings
+	peer                       daemon.PeerFlags
 	retry                      webcom.RetryPolicy
-	live                       webcom.Liveness
 }
 
 func main() {
@@ -63,11 +55,9 @@ func main() {
 	flag.StringVar(&o.graphPath, "graph", "", "JSON condensed-graph file to execute (see internal/cg)")
 	flag.StringVar(&o.inputsFlag, "inputs", "", "comma-separated name=value graph inputs for -graph")
 	flag.IntVar(&o.waitClients, "wait-clients", 1, "clients to wait for before -run/-graph")
-	var trust multiFlag
-	flag.Var(&trust, "trust", "client public-key file to trust for all operations (repeatable)")
-	flag.BoolVar(&o.trace, "trace", false, "log every authorisation denial with its full decision trace")
+	flag.Var(&o.trust, "trust", "client public-key file to trust for all operations (repeatable)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /healthz and /traces on this address (empty disables telemetry)")
-	flag.StringVar(&o.codec, "codec", "", "wire codec: empty/\"binary\" negotiates the binary framed codec per client, \"json\" pins every connection to the JSON fallback")
+	o.peer.Register(flag.CommandLine, "a client")
 
 	// Fault-tolerance knobs; 0 means the library default.
 	flag.IntVar(&o.retry.MaxAttempts, "max-attempts", 0, "scheduling attempts per task (0 = default 3)")
@@ -78,77 +68,38 @@ func main() {
 	flag.DurationVar(&o.retry.Quarantine, "quarantine", 0, "circuit-breaker quarantine period (0 = default 2s)")
 	flag.IntVar(&o.retry.MaxInFlight, "max-in-flight", 0, "in-flight tasks per client (0 = default 32)")
 	flag.DurationVar(&o.retry.DelegateTimeout, "delegate-timeout", 0, "per-subgraph delegation deadline for sub-masters (0 = default 4x dispatch timeout)")
-	flag.DurationVar(&o.live.PingInterval, "ping-interval", 0, "heartbeat interval (0 = default 15s)")
-	flag.DurationVar(&o.live.IdleTimeout, "idle-timeout", 0, "silence before a client is declared dead (0 = default 45s)")
-	flag.DurationVar(&o.live.HandshakeTimeout, "handshake-timeout", 0, "handshake read deadline (0 = default 10s)")
 	flag.Parse()
-	o.trust = trust
 
-	if err := realMain(o); err != nil {
-		fmt.Fprintln(os.Stderr, "webcom-master:", err)
-		os.Exit(1)
-	}
+	daemon.Main("webcom-master", func(out io.Writer, stop <-chan os.Signal) error { return realMain(o, out, stop) })
 }
 
-func realMain(o opts) error {
-	addr, keyPath, policyPath := o.addr, o.keyPath, o.policyPath
-	run, graphPath, inputsFlag := o.run, o.graphPath, o.inputsFlag
-	waitClients, trust := o.waitClients, o.trust
-	ks := keys.NewKeyStore()
-	var masterKey *keys.KeyPair
-	var err error
-	if keyPath != "" {
-		masterKey, err = keys.Load(keyPath)
-		if err != nil {
-			return err
-		}
-		if masterKey.Private == nil {
-			return fmt.Errorf("%s holds no private key", keyPath)
-		}
-	} else {
-		masterKey, err = keys.Generate("Kmaster")
-		if err != nil {
-			return err
-		}
-	}
-	ks.Add(masterKey)
-
-	var policy []*keynote.Assertion
-	for _, path := range trust {
-		kp, err := keys.Load(path)
-		if err != nil {
-			return err
-		}
-		ks.Add(kp)
-		a, err := keynote.New("POLICY", fmt.Sprintf("%q", kp.PublicID()), `app_domain=="WebCom";`)
-		if err != nil {
-			return err
-		}
-		policy = append(policy, a.WithComment("trusted client "+kp.Name))
-	}
-	if policyPath != "" {
-		data, err := os.ReadFile(policyPath)
-		if err != nil {
-			return err
-		}
-		more, err := keynote.ParseAll(string(data))
-		if err != nil {
-			return err
-		}
-		policy = append(policy, more...)
-	}
-	if len(policy) == 0 {
-		return fmt.Errorf("no client authorised: pass -trust or -policy")
-	}
-	chk, err := keynote.NewChecker(policy, keynote.WithResolver(ks))
+// realMain builds the master and serves until stop delivers a signal
+// or, with -run or -graph, until that graph has run.
+func realMain(o opts, out io.Writer, stop <-chan os.Signal) error {
+	g, inputs, err := buildGraph(o)
 	if err != nil {
 		return err
+	}
+	masterKey, err := keys.LoadOrGenerate(o.keyPath, "Kmaster")
+	if err != nil {
+		return err
+	}
+	ks := keys.NewKeyStore()
+	ks.Add(masterKey)
+	chk, n, err := daemon.TrustPolicy(ks, "client", o.trust, o.policyPath)
+	if err != nil {
+		return err
+	}
+	if chk == nil {
+		return fmt.Errorf("no client authorised: pass -trust or -policy")
 	}
 
 	master := webcom.NewMaster(masterKey, chk, nil, ks)
 	master.Retry = o.retry
-	master.Live = o.live
-	master.Codec = o.codec
+	master.Live = o.peer.Live
+	master.Codec = o.peer.Codec
+	o.peer.TraceDenials(master.Audit())
+	closers := []io.Closer{master}
 	if o.metricsAddr != "" {
 		master.Tel = telemetry.NewRegistry()
 		master.Tracer = telemetry.NewTracer(0)
@@ -163,87 +114,92 @@ func realMain(o opts) error {
 			return nil
 		}))
 		go hsrv.Serve(ln)
-		defer hsrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics\n", ln.Addr())
+		closers = append(closers, hsrv)
+		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", ln.Addr())
 	}
-	if o.trace {
-		master.Audit().SetSink(func(e authz.AuditEntry) {
-			fmt.Fprintf(os.Stderr, "trace: %s", e.String())
-		})
-	}
-	if err := master.Listen(addr); err != nil {
+	if err := master.Listen(o.addr); err != nil {
+		for _, c := range closers {
+			c.Close()
+		}
 		return err
 	}
-	defer master.Close()
-	fmt.Printf("webcom-master %s listening on %s (%d policy assertions)\n",
-		masterKey.PublicID()[:24]+"...", master.Addr(), len(policy))
+	fmt.Fprintf(out, "webcom-master %s listening on %s (%d policy assertions)\n",
+		masterKey.PublicID()[:24]+"...", master.Addr(), n)
 
-	if run == "" && graphPath == "" {
-		// Serve until interrupted, then drain gracefully: stop accepting,
-		// let in-flight dispatches finish, and only then sever clients.
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		sig := <-stop
-		fmt.Printf("webcom-master: %s received, draining\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := master.Shutdown(ctx); err != nil {
-			fmt.Printf("webcom-master: drain timed out, severing clients: %v\n", err)
-		}
-		fmt.Println("webcom-master: shutdown complete")
-		return nil
+	// Without a graph the master serves until interrupted; the drain
+	// stops accepting, lets in-flight dispatches finish, and only then
+	// severs clients.
+	var serve func(context.Context) error
+	if g != nil {
+		serve = func(ctx context.Context) error { return runGraph(ctx, out, master, o.waitClients, g, inputs) }
 	}
+	return daemon.Run("webcom-master", out, stop, serve, closers...)
+}
 
-	deadline := time.Now().Add(30 * time.Second)
+// runGraph waits for the clients and runs g on them, printing the result.
+func runGraph(ctx context.Context, out io.Writer, master *webcom.Master, waitClients int, g *cg.Graph, inputs map[string]string) error {
+	wait, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
 	for len(master.Clients()) < waitClients {
-		if time.Now().After(deadline) {
+		select {
+		case <-wait.Done():
 			return fmt.Errorf("timed out waiting for %d clients", waitClients)
+		case <-time.After(50 * time.Millisecond):
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
-	fmt.Printf("clients connected: %v\n", master.Clients())
+	fmt.Fprintf(out, "clients connected: %v\n", master.Clients())
 
-	var g *cg.Graph
-	inputs := map[string]string{}
-	switch {
-	case graphPath != "":
-		data, err := os.ReadFile(graphPath)
-		if err != nil {
-			return err
-		}
-		g, err = cg.ParseJSON(data)
-		if err != nil {
-			return err
-		}
-		if inputsFlag != "" {
-			for _, kv := range strings.Split(inputsFlag, ",") {
-				eq := strings.Index(kv, "=")
-				if eq <= 0 {
-					return fmt.Errorf("input %q is not name=value", kv)
-				}
-				inputs[kv[:eq]] = kv[eq+1:]
-			}
-		}
-	default:
-		fields := strings.Fields(run)
-		op, args := fields[0], fields[1:]
-		g = cg.NewGraph("cli")
-		g.MustAddNode("op", &cg.Opaque{OpName: op, OpArity: len(args)})
-		for i, a := range args {
-			if err := g.SetConst("op", i, a); err != nil {
-				return err
-			}
-		}
-		if err := g.SetExit("op"); err != nil {
-			return err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel = context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	result, stats, err := master.Run(ctx, &cg.Engine{}, g, inputs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("result: %s (fired %d nodes)\n", result, stats.Fired)
+	fmt.Fprintf(out, "result: %s (fired %d nodes)\n", result, stats.Fired)
 	return nil
+}
+
+// buildGraph returns the graph -graph or -run names, or nil in serve
+// mode.
+func buildGraph(o opts) (*cg.Graph, map[string]string, error) {
+	inputs := map[string]string{}
+	switch {
+	case o.graphPath != "":
+		data, err := os.ReadFile(o.graphPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		g, err := cg.ParseJSON(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		if o.inputsFlag != "" {
+			for _, kv := range strings.Split(o.inputsFlag, ",") {
+				eq := strings.Index(kv, "=")
+				if eq <= 0 {
+					return nil, nil, fmt.Errorf("input %q is not name=value", kv)
+				}
+				inputs[kv[:eq]] = kv[eq+1:]
+			}
+		}
+		return g, inputs, nil
+	case o.run != "":
+		fields := strings.Fields(o.run)
+		if len(fields) == 0 {
+			return nil, nil, errors.New("-run names no operation")
+		}
+		op, args := fields[0], fields[1:]
+		g := cg.NewGraph("cli")
+		g.MustAddNode("op", &cg.Opaque{OpName: op, OpArity: len(args)})
+		for i, a := range args {
+			if err := g.SetConst("op", i, a); err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := g.SetExit("op"); err != nil {
+			return nil, nil, err
+		}
+		return g, inputs, nil
+	}
+	return nil, nil, nil
 }

@@ -1,9 +1,14 @@
 package keycom
 
 import (
+	"crypto/ed25519"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
+	"securewebcom/internal/keys"
 	"securewebcom/internal/rbac"
 )
 
@@ -62,6 +67,54 @@ func FuzzWALReplay(f *testing.F) {
 		p := rbac.NewPolicy()
 		for _, r := range recs {
 			p.Apply(r.Diff)
+		}
+	})
+}
+
+// FuzzUpdateRequestVerify throws arbitrary JSON at the update-request
+// decoder and Verify. Verify must not panic, and a request it accepts
+// must carry a signature that verifies, by ed25519 directly, under the
+// Requester key over the request's payload.
+func FuzzUpdateRequestVerify(f *testing.F) {
+	admin := keys.Deterministic("Kadmin", "fuzz-update")
+	signed := &UpdateRequest{Requester: admin.PublicID(), Diff: clerkDiff(0)}
+	if err := signed.Sign(admin); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(signed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	tampered := *signed
+	tampered.Diff = clerkDiff(1)
+	raw, _ := json.Marshal(&tampered)
+	f.Add(raw)
+	unsigned := *signed
+	unsigned.Sig = ""
+	raw, _ = json.Marshal(&unsigned)
+	f.Add(raw)
+	f.Add([]byte(`{"requester":"ed25519:00","sig":"sig-ed25519:zz"}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r UpdateRequest
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		if r.Verify() != nil {
+			return
+		}
+		pub, err := keys.DecodePublic(r.Requester)
+		if err != nil {
+			t.Fatalf("accepted a request from undecodable requester %q", r.Requester)
+		}
+		sig, err := hex.DecodeString(strings.TrimPrefix(r.Sig, keys.SigPrefix))
+		if err != nil || !strings.HasPrefix(r.Sig, keys.SigPrefix) {
+			t.Fatalf("accepted a malformed signature %q", r.Sig)
+		}
+		if !ed25519.Verify(pub, r.payload(), sig) {
+			t.Fatal("accepted a request whose signature does not verify over its payload")
 		}
 	})
 }

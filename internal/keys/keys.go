@@ -59,6 +59,15 @@ func Generate(name string) (*KeyPair, error) {
 	return &KeyPair{Name: name, Public: pub, Private: priv}, nil
 }
 
+// New generates a fresh key pair, or derives it with Deterministic when
+// seed is not empty.
+func New(name, seed string) (*KeyPair, error) {
+	if seed != "" {
+		return Deterministic(name, seed), nil
+	}
+	return Generate(name)
+}
+
 // Deterministic derives a key pair from a name and seed phrase. It is used
 // by tests, examples and the paper-figure reproduction harness so that the
 // regenerated credentials are stable across runs. Never use it for keys
@@ -195,15 +204,9 @@ func (ks *KeyStore) Add(kp *KeyPair) {
 // GenerateNamed generates (or deterministically derives, if seed != "") a
 // key pair, registers it, and returns it.
 func (ks *KeyStore) GenerateNamed(name, seed string) (*KeyPair, error) {
-	var kp *KeyPair
-	var err error
-	if seed != "" {
-		kp = Deterministic(name, seed)
-	} else {
-		kp, err = Generate(name)
-		if err != nil {
-			return nil, err
-		}
+	kp, err := New(name, seed)
+	if err != nil {
+		return nil, err
 	}
 	ks.Add(kp)
 	return kp, nil

@@ -64,3 +64,25 @@ func Load(path string) (*KeyPair, error) {
 	}
 	return kp, nil
 }
+
+// LoadPrivate loads a key pair that must hold its private half: a
+// signing or authenticating principal, not a distributable identity.
+func LoadPrivate(path string) (*KeyPair, error) {
+	kp, err := Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if kp.Private == nil {
+		return nil, fmt.Errorf("keys: %s holds no private key", path)
+	}
+	return kp, nil
+}
+
+// LoadOrGenerate loads a private key pair from path or, when path is
+// empty, generates a fresh one named name.
+func LoadOrGenerate(path, name string) (*KeyPair, error) {
+	if path == "" {
+		return Generate(name)
+	}
+	return LoadPrivate(path)
+}

@@ -3,6 +3,7 @@ package keys
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -90,4 +91,44 @@ func replaceOnce(s, old, new string) string {
 		}
 	}
 	return s
+}
+
+func TestLoadPrivateRefusesPublicOnly(t *testing.T) {
+	dir := t.TempDir()
+	kp := Deterministic("Kbob", "persist-private")
+	priv, pub := filepath.Join(dir, "kbob.key"), filepath.Join(dir, "kbob.pub")
+	if err := kp.Save(priv, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := kp.Save(pub, false); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadPrivate(priv); err != nil || got.PublicID() != kp.PublicID() {
+		t.Fatalf("LoadPrivate(private file) = %v, %v", got, err)
+	}
+	if _, err := LoadPrivate(pub); err == nil || !strings.Contains(err.Error(), "holds no private key") {
+		t.Fatalf("LoadPrivate(public file) err = %v", err)
+	}
+	if got, err := LoadOrGenerate(priv, "Kignored"); err != nil || got.PublicID() != kp.PublicID() {
+		t.Fatalf("LoadOrGenerate(path) = %v, %v", got, err)
+	}
+	if _, err := LoadOrGenerate(pub, "Kignored"); err == nil {
+		t.Fatal("LoadOrGenerate accepted a public-only file")
+	}
+	got, err := LoadOrGenerate("", "Kfresh")
+	if err != nil || got.Name != "Kfresh" || got.Private == nil {
+		t.Fatalf("LoadOrGenerate(\"\") = %v, %v", got, err)
+	}
+}
+
+func TestNewSeededOrFresh(t *testing.T) {
+	kp, err := New("Kbob", "seed")
+	if err != nil || kp.PublicID() != Deterministic("Kbob", "seed").PublicID() {
+		t.Fatalf("New with a seed = %v, %v; want the deterministic key", kp, err)
+	}
+	a, errA := New("Kbob", "")
+	b, errB := New("Kbob", "")
+	if errA != nil || errB != nil || a.PublicID() == b.PublicID() {
+		t.Fatal("New without a seed must generate a fresh key each time")
+	}
 }
