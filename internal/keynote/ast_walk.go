@@ -94,9 +94,10 @@ func (op ExprOp) IsComparison() bool {
 	return false
 }
 
+// opOfTok maps comparison, additive and multiplicative operator tokens
+// to their binary operators; the parser builds &&, || and ^ nodes
+// directly.
 var opOfTok = map[tokKind]ExprOp{
-	tOrOr:    OpOr,
-	tAndAnd:  OpAnd,
 	tEq:      OpEq,
 	tNe:      OpNe,
 	tLt:      OpLt,
@@ -110,7 +111,6 @@ var opOfTok = map[tokKind]ExprOp{
 	tStar:    OpMul,
 	tSlash:   OpDiv,
 	tPercent: OpMod,
-	tCaret:   OpPow,
 }
 
 // ExprNode is the exported shape of one Conditions AST node. Which
@@ -141,7 +141,7 @@ type ExprNode struct {
 func Decompose(e Expr) ExprNode {
 	switch x := e.(type) {
 	case *binOp:
-		return ExprNode{Kind: KindBinary, Op: opOfTok[x.op], L: x.l, R: x.r}
+		return ExprNode{Kind: KindBinary, Op: x.op, L: x.l, R: x.r}
 	case *notExpr:
 		return ExprNode{Kind: KindNot, L: x.x}
 	case *negExpr:

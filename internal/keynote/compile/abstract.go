@@ -19,18 +19,45 @@ import (
 
 type aval struct {
 	typKnown bool
-	typ      valKind
+	typ      keynote.ValueKind
 	known    bool // exact value known and evaluation cannot fail
-	v        value
+	v        keynote.Value
 	mayErr   bool
 	mustErr  bool // evaluation always fails (implies mayErr)
 }
 
-func aKnown(v value) aval { return aval{typKnown: true, typ: v.kind, known: true, v: v} }
-func aTyp(k valKind, mayErr bool) aval {
+func aKnown(v keynote.Value) aval { return aval{typKnown: true, typ: v.Kind, known: true, v: v} }
+
+// aKernel lifts a kernel result over constant operands: a value, or a
+// subtree that must fail.
+func aKernel(v keynote.Value, ok bool) aval {
+	if !ok {
+		return aMustErr()
+	}
+	return aKnown(v)
+}
+
+func aTyp(k keynote.ValueKind, mayErr bool) aval {
 	return aval{typKnown: true, typ: k, mayErr: mayErr}
 }
 func aMustErr() aval { return aval{mayErr: true, mustErr: true} }
+
+// isKind and notKind report a statically known type that is, or is
+// not, k.
+func (a aval) isKind(k keynote.ValueKind) bool  { return a.typKnown && a.typ == k }
+func (a aval) notKind(k keynote.ValueKind) bool { return a.typKnown && a.typ != k }
+
+// strictTypeError is the fact detail for a strict binary operator
+// applied to an operand type it rejects.
+func strictTypeError(op keynote.ExprOp) string {
+	switch {
+	case op.IsComparison():
+		return fmt.Sprintf("cannot compare booleans with %s", op)
+	case op == keynote.OpConcat:
+		return ". requires string operands"
+	}
+	return fmt.Sprintf("%s requires numeric operands", op)
+}
 
 // FactKind classifies one static-analysis finding.
 type FactKind int
@@ -116,40 +143,36 @@ func (c *compiler) emit(e keynote.Expr) aval {
 
 	switch n.Kind {
 	case keynote.KindBool:
-		res = aKnown(boolVal(n.Bool))
+		res = aKnown(keynote.BoolVal(n.Bool))
 
 	case keynote.KindStr:
-		res = aKnown(strVal(n.Str))
+		res = aKnown(keynote.StrVal(n.Str))
 
 	case keynote.KindNum:
-		if v, ok := numLitValue(n.NumText); ok {
-			res = aKnown(v)
-		} else {
-			res = aMustErr() // literal outside numeric range
-		}
+		res = aKernel(keynote.NumLit(n.NumText)) // fails outside numeric range
 
 	case keynote.KindAttr:
 		if n.L == nil {
 			c.code = append(c.code, instr{op: opAttr, a: int32(c.slot(n.Attr))})
-			res = aTyp(vStr, false)
+			res = aTyp(keynote.ValStr, false)
 			break
 		}
 		sub := c.emit(n.L)
 		switch {
 		case sub.mustErr:
 			res = aMustErr()
-		case sub.typKnown && sub.typ != vStr:
+		case sub.notKind(keynote.ValStr):
 			c.fact(FactTypeError, e, "$ requires a string operand")
 			res = aMustErr()
 		case sub.known:
 			// $"name" reads a statically known attribute: same as a
 			// direct reference.
 			c.code = c.code[:mark]
-			c.code = append(c.code, instr{op: opAttr, a: int32(c.slot(sub.v.s))})
-			res = aTyp(vStr, false)
+			c.code = append(c.code, instr{op: opAttr, a: int32(c.slot(sub.v.Str))})
+			res = aTyp(keynote.ValStr, false)
 		default:
 			c.code = append(c.code, instr{op: opAttrDyn})
-			res = aTyp(vStr, sub.mayErr || !sub.typKnown)
+			res = aTyp(keynote.ValStr, sub.mayErr || !sub.typKnown)
 		}
 
 	case keynote.KindDeref:
@@ -158,24 +181,21 @@ func (c *compiler) emit(e keynote.Expr) aval {
 		case sub.mustErr:
 			res = aMustErr()
 		case sub.known:
-			if out, ok := derefValue(sub.v, n.Float); ok {
-				res = aKnown(out)
-			} else {
+			if res = aKernel(keynote.Deref(sub.v, n.Float)); res.mustErr {
 				c.fact(FactTypeError, e, "numeric dereference always fails")
-				res = aMustErr()
 			}
-		case sub.typKnown && sub.typ == vNum:
+		case sub.isKind(keynote.ValNum):
 			res = sub // already numeric: dereference is the identity
-		case sub.typKnown && sub.typ == vBool:
+		case sub.isKind(keynote.ValBool):
 			c.fact(FactTypeError, e, "numeric dereference of boolean")
 			res = aMustErr()
 		default:
-			op := opDerefInt
+			in := instr{op: opDeref}
 			if n.Float {
-				op = opDerefFloat
+				in.a = 1
 			}
-			c.code = append(c.code, instr{op: op})
-			res = aTyp(vNum, true) // the attribute value may not parse
+			c.code = append(c.code, in)
+			res = aTyp(keynote.ValNum, true) // the attribute value may not parse
 		}
 
 	case keynote.KindNot:
@@ -183,14 +203,14 @@ func (c *compiler) emit(e keynote.Expr) aval {
 		switch {
 		case sub.mustErr:
 			res = aMustErr()
-		case sub.typKnown && sub.typ != vBool:
+		case sub.notKind(keynote.ValBool):
 			c.fact(FactTypeError, e, "! requires a boolean operand")
 			res = aMustErr()
 		case sub.known:
-			res = aKnown(boolVal(!sub.v.b))
+			res = aKernel(keynote.Not(sub.v))
 		default:
 			c.code = append(c.code, instr{op: opNot})
-			res = aTyp(vBool, sub.mayErr || !sub.typKnown)
+			res = aTyp(keynote.ValBool, sub.mayErr || !sub.typKnown)
 		}
 
 	case keynote.KindNeg:
@@ -198,16 +218,14 @@ func (c *compiler) emit(e keynote.Expr) aval {
 		switch {
 		case sub.mustErr:
 			res = aMustErr()
-		case sub.typKnown && sub.typ != vNum:
+		case sub.notKind(keynote.ValNum):
 			c.fact(FactTypeError, e, "unary - requires a numeric operand")
 			res = aMustErr()
 		case sub.known:
-			out := numVal(-sub.v.f)
-			out.isInt = sub.v.isInt
-			res = aKnown(out)
+			res = aKernel(keynote.Neg(sub.v))
 		default:
 			c.code = append(c.code, instr{op: opNeg})
-			res = aTyp(vNum, sub.mayErr || !sub.typKnown)
+			res = aTyp(keynote.ValNum, sub.mayErr || !sub.typKnown)
 		}
 
 	case keynote.KindBinary:
@@ -244,7 +262,7 @@ func (c *compiler) emitBinary(e keynote.Expr, n keynote.ExprNode, mark int) aval
 		c.code = append(c.code, instr{op: opToBool})
 		c.code[jmpAt].a = int32(len(c.code))
 
-		rConfused := !r.mustErr && r.typKnown && r.typ != vBool
+		rConfused := !r.mustErr && r.notKind(keynote.ValBool)
 		if rConfused {
 			c.fact(FactTypeError, e, fmt.Sprintf("%s requires boolean operands", op))
 		}
@@ -252,56 +270,39 @@ func (c *compiler) emitBinary(e keynote.Expr, n keynote.ExprNode, mark int) aval
 		switch {
 		case l.mustErr:
 			return aMustErr()
-		case l.typKnown && l.typ != vBool:
+		case l.notKind(keynote.ValBool):
 			c.fact(FactTypeError, e, fmt.Sprintf("%s requires boolean operands", op))
 			return aMustErr()
-		case l.known && op == keynote.OpAnd && !l.v.b:
-			return aKnown(boolVal(false))
-		case l.known && op == keynote.OpOr && l.v.b:
-			return aKnown(boolVal(true))
+		case l.known && l.v.Bool == (op == keynote.OpOr):
+			return l // the left operand decides
 		case l.known: // left passes through; the result is the right operand
 			switch {
 			case rErr:
 				return aMustErr()
 			case r.known:
-				return aKnown(boolVal(r.v.b))
+				return r
 			default:
-				return aTyp(vBool, r.mayErr || !r.typKnown)
+				return aTyp(keynote.ValBool, r.mayErr || !r.typKnown)
 			}
 		default:
-			return aTyp(vBool, l.mayErr || !l.typKnown || r.mayErr || !r.typKnown || rErr)
+			return aTyp(keynote.ValBool, l.mayErr || !l.typKnown || r.mayErr || !r.typKnown || rErr)
 		}
 	}
 
 	l := c.emit(n.L)
 	rmark := len(c.code)
 	r := c.emit(n.R)
+	if l.mustErr || r.mustErr {
+		return aMustErr()
+	}
 
-	switch {
-	case op.IsComparison():
+	if op == keynote.OpMatch {
 		switch {
-		case l.mustErr || r.mustErr:
-			return aMustErr()
-		case (l.typKnown && l.typ == vBool) || (r.typKnown && r.typ == vBool):
-			c.fact(FactTypeError, e, fmt.Sprintf("cannot compare booleans with %s", op))
-			return aMustErr()
-		case l.known && r.known:
-			out, _ := compareValues(cmpOpcode(op), l.v, r.v)
-			return aKnown(out)
-		default:
-			c.code = append(c.code, instr{op: cmpOpcode(op)})
-			return aTyp(vBool, l.mayErr || r.mayErr || !l.typKnown || !r.typKnown)
-		}
-
-	case op == keynote.OpMatch:
-		switch {
-		case l.mustErr || r.mustErr:
-			return aMustErr()
-		case (l.typKnown && l.typ != vStr) || (r.typKnown && r.typ != vStr):
+		case l.notKind(keynote.ValStr) || r.notKind(keynote.ValStr):
 			c.fact(FactTypeError, e, "~= requires string operands")
 			return aMustErr()
 		case r.known:
-			re, err := regexp.Compile(r.v.s)
+			re, err := regexp.Compile(r.v.Str)
 			if err != nil {
 				c.fact(FactTypeError, e, fmt.Sprintf("constant regex does not compile: %v", err))
 				// Whatever the subject evaluates to, the match errors
@@ -310,94 +311,51 @@ func (c *compiler) emitBinary(e keynote.Expr, n keynote.ExprNode, mark int) aval
 				return aMustErr()
 			}
 			if l.known {
-				return aKnown(boolVal(re.MatchString(l.v.s)))
+				return aKnown(keynote.BoolVal(re.MatchString(l.v.Str)))
 			}
 			c.code = c.code[:rmark] // the constant pattern is not evaluated
 			c.code = append(c.code, instr{op: opMatchConst, a: int32(c.regex(re))})
-			return aTyp(vBool, l.mayErr || !l.typKnown)
+			return aTyp(keynote.ValBool, l.mayErr || !l.typKnown)
 		default:
 			c.code = append(c.code, instr{op: opMatch})
-			return aTyp(vBool, true) // a dynamic pattern may fail to compile
+			return aTyp(keynote.ValBool, true) // a dynamic pattern may fail to compile
 		}
+	}
 
+	// The strict operators: comparisons, '.', and arithmetic. A static
+	// operand type the operator rejects makes the node always fail;
+	// constant operands fold through the kernel.
+	var typ keynote.ValueKind
+	var confused bool
+	switch {
+	case op.IsComparison():
+		typ, confused = keynote.ValBool, l.isKind(keynote.ValBool) || r.isKind(keynote.ValBool)
 	case op == keynote.OpConcat:
-		switch {
-		case l.mustErr || r.mustErr:
-			return aMustErr()
-		case (l.typKnown && l.typ == vBool) || (r.typKnown && r.typ == vBool):
-			c.fact(FactTypeError, e, ". requires string operands")
-			return aMustErr()
-		case l.known && r.known:
-			return aKnown(strVal(l.v.String() + r.v.String()))
-		default:
-			c.code = append(c.code, instr{op: opConcat})
-			return aTyp(vStr, l.mayErr || r.mayErr || !l.typKnown || !r.typKnown)
-		}
-
-	default: // arithmetic: + - * / % ^
-		aop := arithOpcode(op)
-		switch {
-		case l.mustErr || r.mustErr:
-			return aMustErr()
-		case (l.typKnown && l.typ != vNum) || (r.typKnown && r.typ != vNum):
-			c.fact(FactTypeError, e, fmt.Sprintf("%s requires numeric operands", op))
-			return aMustErr()
-		case l.known && r.known:
-			out, ok := arithValues(aop, l.v, r.v)
-			if !ok {
-				c.fact(FactTypeError, e, "arithmetic always fails (division or modulo by zero, or non-integer modulo)")
-				return aMustErr()
-			}
-			return aKnown(out)
-		case (aop == opDiv || aop == opMod) && r.known && r.v.f == 0:
-			c.fact(FactTypeError, e, "division or modulo by constant zero")
-			return aMustErr()
-		default:
-			mayErr := l.mayErr || r.mayErr || !l.typKnown || !r.typKnown
-			if aop == opDiv && !(r.known && r.v.f != 0) {
-				mayErr = true
-			}
-			if aop == opMod {
-				mayErr = true // operands must be integers and divisor non-zero
-			}
-			c.code = append(c.code, instr{op: aop})
-			return aTyp(vNum, mayErr)
-		}
-	}
-}
-
-func cmpOpcode(op keynote.ExprOp) opcode {
-	switch op {
-	case keynote.OpEq:
-		return opEq
-	case keynote.OpNe:
-		return opNe
-	case keynote.OpLt:
-		return opLt
-	case keynote.OpGt:
-		return opGt
-	case keynote.OpLe:
-		return opLe
+		typ, confused = keynote.ValStr, l.isKind(keynote.ValBool) || r.isKind(keynote.ValBool)
 	default:
-		return opGe
+		typ, confused = keynote.ValNum, l.notKind(keynote.ValNum) || r.notKind(keynote.ValNum)
 	}
-}
-
-func arithOpcode(op keynote.ExprOp) opcode {
-	switch op {
-	case keynote.OpAdd:
-		return opAdd
-	case keynote.OpSub:
-		return opSub
-	case keynote.OpMul:
-		return opMul
-	case keynote.OpDiv:
-		return opDiv
-	case keynote.OpMod:
-		return opMod
-	default:
-		return opPow
+	mayErr := l.mayErr || r.mayErr || !l.typKnown || !r.typKnown
+	switch {
+	case confused:
+		c.fact(FactTypeError, e, strictTypeError(op))
+		return aMustErr()
+	case l.known && r.known:
+		// Only arithmetic can fail on operands of accepted types.
+		res := aKernel(keynote.Binary(op, l.v, r.v))
+		if res.mustErr {
+			c.fact(FactTypeError, e, "arithmetic always fails (division or modulo by zero, or non-integer modulo)")
+		}
+		return res
+	case (op == keynote.OpDiv || op == keynote.OpMod) && r.known && r.v.Num == 0:
+		c.fact(FactTypeError, e, "division or modulo by constant zero")
+		return aMustErr()
+	case op == keynote.OpDiv && !r.known, op == keynote.OpMod:
+		// A divisor may be zero; % also needs integer operands.
+		mayErr = true
 	}
+	c.code = append(c.code, instr{op: opBinary, a: int32(op)})
+	return aTyp(typ, mayErr)
 }
 
 // ---- Interval analysis ----
@@ -600,14 +558,14 @@ func constNum(e keynote.Expr) (float64, bool) {
 	n := keynote.Decompose(e)
 	switch n.Kind {
 	case keynote.KindNum:
-		if v, ok := numLitValue(n.NumText); ok {
-			return v.f, true
+		if v, ok := keynote.NumLit(n.NumText); ok {
+			return v.Num, true
 		}
 	case keynote.KindNeg:
 		sub := keynote.Decompose(n.L)
 		if sub.Kind == keynote.KindNum {
-			if v, ok := numLitValue(sub.NumText); ok {
-				return -v.f, true
+			if v, ok := keynote.NumLit(sub.NumText); ok {
+				return -v.Num, true
 			}
 		}
 	}

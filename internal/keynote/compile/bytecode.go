@@ -1,43 +1,31 @@
 package compile
 
-import "regexp"
+import "securewebcom/internal/keynote"
 
-// Condition tests compile to a postfix stack machine. One instruction
-// is an opcode plus an int32 operand (constant-pool index, attribute
-// slot, regex index, or jump target). The machine has no error values:
-// any evaluation error — type mismatch, unparsable dereference, bad
-// regex, division by zero — aborts execution with ok=false, which makes
-// the enclosing clause contribute nothing, exactly like the
+// Condition tests compile to a postfix stack machine over the value
+// kernel (keynote.Value and its operations). One instruction is an
+// opcode plus an int32 operand (constant-pool index, attribute slot,
+// regex index, operator, or jump target). The machine has no error
+// values: any evaluation error — type mismatch, unparsable dereference,
+// bad regex, division by zero — aborts execution with ok=false, which
+// makes the enclosing clause contribute nothing, exactly like the
 // interpreter's "signal failure" behaviour.
 
 type opcode uint8
 
 const (
 	opConst      opcode = iota // push consts[a]
-	opAttr                     // push strVal(slot a)
+	opAttr                     // push the string value of slot a
 	opAttrDyn                  // pop name (must be string); push its attribute value
-	opDerefInt                 // pop v; @-dereference
-	opDerefFloat               // pop v; &-dereference
+	opDeref                    // pop v; @-dereference (a=0) or &-dereference (a=1)
 	opNot                      // pop bool; push negation
 	opNeg                      // pop num; push arithmetic negation
 	opJumpFalse                // pop bool; if false push false and jump to a (&&)
 	opJumpTrue                 // pop bool; if true push true and jump to a (||)
 	opToBool                   // pop; must be bool; push it back (right operand check)
-	opEq                       // pop r, l; push l == r
-	opNe                       // pop r, l; push l != r
-	opLt                       // pop r, l; push l < r
-	opGt                       // pop r, l; push l > r
-	opLe                       // pop r, l; push l <= r
-	opGe                       // pop r, l; push l >= r
 	opMatch                    // pop pattern, subject; dynamic regex match
 	opMatchConst               // pop subject; match against regexes[a] (nil = bad pattern)
-	opConcat                   // pop r, l; push l . r
-	opAdd                      // pop r, l; push l + r
-	opSub                      // pop r, l; push l - r
-	opMul                      // pop r, l; push l * r
-	opDiv                      // pop r, l; push l / r
-	opMod                      // pop r, l; push l % r
-	opPow                      // pop r, l; push l ^ r
+	opBinary                   // pop r, l; push keynote.Binary(ExprOp(a), l, r)
 )
 
 type instr struct {
@@ -47,134 +35,66 @@ type instr struct {
 
 // exec runs one compiled test program and returns its value. ok=false
 // signals an evaluation error (the clause fails).
-func (v *valuation) exec(code []instr) (value, bool) {
+func (v *valuation) exec(code []instr) (keynote.Value, bool) {
 	d := v.d
 	st := v.stack[:0]
 	for pc := 0; pc < len(code); pc++ {
 		in := code[pc]
+		var out keynote.Value
+		ok := true
 		switch in.op {
 		case opConst:
 			st = append(st, d.consts[in.a])
+			continue
 		case opAttr:
-			st = append(st, strVal(v.slots[in.a]))
+			st = append(st, keynote.StrVal(v.slots[in.a]))
+			continue
 		case opAttrDyn:
 			name := st[len(st)-1]
-			if name.kind != vStr {
-				return value{}, false
+			if name.Kind != keynote.ValStr {
+				return keynote.Value{}, false
 			}
-			st[len(st)-1] = strVal(v.lookup(name.s))
-		case opDerefInt, opDerefFloat:
-			out, ok := derefValue(st[len(st)-1], in.op == opDerefFloat)
-			if !ok {
-				return value{}, false
-			}
-			st[len(st)-1] = out
+			out = keynote.StrVal(v.lookup(name.Str))
+		case opDeref:
+			out, ok = keynote.Deref(st[len(st)-1], in.a != 0)
 		case opNot:
-			x := st[len(st)-1]
-			if x.kind != vBool {
-				return value{}, false
-			}
-			st[len(st)-1] = boolVal(!x.b)
+			out, ok = keynote.Not(st[len(st)-1])
 		case opNeg:
+			out, ok = keynote.Neg(st[len(st)-1])
+		case opJumpFalse, opJumpTrue:
 			x := st[len(st)-1]
-			if x.kind != vNum {
-				return value{}, false
+			if x.Kind != keynote.ValBool {
+				return keynote.Value{}, false
 			}
-			out := numVal(-x.f)
-			out.isInt = x.isInt
-			st[len(st)-1] = out
-		case opJumpFalse:
-			x := st[len(st)-1]
-			if x.kind != vBool {
-				return value{}, false
-			}
-			if !x.b {
-				pc = int(in.a) - 1 // leave false on the stack
+			if x.Bool == (in.op == opJumpTrue) {
+				pc = int(in.a) - 1 // leave the deciding operand on the stack
 			} else {
 				st = st[:len(st)-1]
 			}
-		case opJumpTrue:
-			x := st[len(st)-1]
-			if x.kind != vBool {
-				return value{}, false
-			}
-			if x.b {
-				pc = int(in.a) - 1 // leave true on the stack
-			} else {
-				st = st[:len(st)-1]
-			}
+			continue
 		case opToBool:
-			if st[len(st)-1].kind != vBool {
-				return value{}, false
-			}
-		case opEq, opNe, opLt, opGt, opLe, opGe:
-			r, l := st[len(st)-1], st[len(st)-2]
-			out, ok := compareValues(in.op, l, r)
-			if !ok {
-				return value{}, false
-			}
-			st = st[:len(st)-1]
-			st[len(st)-1] = out
-		case opMatch:
-			r, l := st[len(st)-1], st[len(st)-2]
-			if l.kind != vStr || r.kind != vStr {
-				return value{}, false
-			}
-			re, ok := v.compileRegex(r.s)
-			if !ok {
-				return value{}, false
-			}
-			st = st[:len(st)-1]
-			st[len(st)-1] = boolVal(re.MatchString(l.s))
+			ok = st[len(st)-1].Kind == keynote.ValBool
+			out = st[len(st)-1]
 		case opMatchConst:
 			l := st[len(st)-1]
-			if l.kind != vStr {
-				return value{}, false
-			}
 			re := d.regexes[in.a]
-			if re == nil { // constant pattern that does not compile
-				return value{}, false
-			}
-			st[len(st)-1] = boolVal(re.MatchString(l.s))
-		case opConcat:
-			r, l := st[len(st)-1], st[len(st)-2]
-			out, ok := concatValues(l, r)
-			if !ok {
-				return value{}, false
-			}
+			// A nil entry is a constant pattern that does not compile.
+			ok = l.Kind == keynote.ValStr && re != nil
+			out = keynote.BoolVal(ok && re.MatchString(l.Str))
+		case opMatch:
+			out, ok = v.regexes.Match(st[len(st)-2], st[len(st)-1])
 			st = st[:len(st)-1]
-			st[len(st)-1] = out
-		default: // opAdd..opPow
-			r, l := st[len(st)-1], st[len(st)-2]
-			out, ok := arithValues(in.op, l, r)
-			if !ok {
-				return value{}, false
-			}
+		default: // opBinary
+			out, ok = keynote.Binary(keynote.ExprOp(in.a), st[len(st)-2], st[len(st)-1])
 			st = st[:len(st)-1]
-			st[len(st)-1] = out
 		}
+		if !ok {
+			return keynote.Value{}, false
+		}
+		st[len(st)-1] = out
 	}
 	v.stack = st[:0]
 	return st[0], true
-}
-
-// compileRegex resolves a dynamic ~= pattern through the valuation's
-// cache. The cache is bounded: pathological query attributes cannot
-// grow it without limit.
-func (v *valuation) compileRegex(pat string) (*regexp.Regexp, bool) {
-	if re, ok := v.regexCache[pat]; ok {
-		return re, re != nil
-	}
-	if v.regexCache == nil || len(v.regexCache) >= 64 {
-		v.regexCache = make(map[string]*regexp.Regexp, 8)
-	}
-	re, err := regexp.Compile(pat)
-	if err != nil {
-		v.regexCache[pat] = nil
-		return nil, false
-	}
-	v.regexCache[pat] = re
-	return re, true
 }
 
 // Licensee expressions compile to a postfix program over an int stack:

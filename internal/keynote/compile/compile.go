@@ -1,3 +1,22 @@
+// Package compile is a static-analysis front end and compiler for
+// admitted KeyNote credential sets. It abstract-interprets every
+// Conditions program (constant folding, type inference, interval
+// analysis of comparison atoms), prunes clauses that can never
+// contribute, and emits a decision DAG: interned principals, postfix
+// licensee programs and stack-machine bytecode for condition tests,
+// evaluable without parse-tree walks or per-check map churn. Both the
+// VM and the constant folder compute values with internal/keynote's
+// value kernel, the same one the tree-walking interpreter uses.
+//
+// The DAG's Check is observationally identical to
+// keynote.Checker.CheckPreverified on the same admitted set: same
+// Result (Value, Index, PrincipalValues, Chain, Passes), same error
+// strings. That parity is what lets authz keep Trace/Explain derivable
+// from compiled runs, and it is guarded by FuzzCompiledVsInterpreted.
+//
+// The analysis facts gathered while compiling (always-true/false
+// clauses, type-confused operations, interval contradictions, dead
+// assertions) feed policylint rules PL011–PL014.
 package compile
 
 import (
@@ -33,7 +52,7 @@ type DAG struct {
 	principals []string
 	pidOf      map[string]int
 	evalList   []cAssert
-	consts     []value
+	consts     []keynote.Value
 	regexes    []*regexp.Regexp // nil entry = constant pattern that does not compile
 	slotNames  []string
 	// specialSlot marks slots bound to derived attributes rather than
@@ -105,8 +124,8 @@ type compiler struct {
 	canonMemo  map[string]string
 	pidOf      map[string]int
 	principals []string
-	consts     []value
-	constIdx   map[value]int
+	consts     []keynote.Value
+	constIdx   map[keynote.Value]int
 	regexes    []*regexp.Regexp
 	regexIdx   map[string]int
 	slotNames  []string
@@ -126,7 +145,7 @@ func newCompiler(resolver keynote.Resolver) *compiler {
 		resolver:  resolver,
 		canonMemo: make(map[string]string),
 		pidOf:     make(map[string]int),
-		constIdx:  make(map[value]int),
+		constIdx:  make(map[keynote.Value]int),
 		regexIdx:  make(map[string]int),
 		slotIdx:   make(map[string]int),
 	}
@@ -159,7 +178,7 @@ func (c *compiler) pid(canonical string) int {
 	return id
 }
 
-func (c *compiler) constant(v value) int {
+func (c *compiler) constant(v keynote.Value) int {
 	if i, ok := c.constIdx[v]; ok {
 		return i
 	}
@@ -236,13 +255,13 @@ func (c *compiler) compileProgram(p *keynote.Program, top bool) *cProg {
 			switch {
 			case av.mustErr:
 				dead = true // the erroring subexpression recorded its fact
-			case av.typKnown && av.typ != vBool && !av.known:
+			case av.notKind(keynote.ValBool) && !av.known:
 				c.fact(FactAlwaysFalse, cl.Test, "clause test never yields a boolean")
 				dead = true
-			case av.known && !av.v.b:
+			case av.known && !av.v.Bool:
 				c.fact(FactAlwaysFalse, cl.Test, "clause test is always false")
 				dead = true
-			case av.known && av.v.b:
+			case av.known && av.v.Bool:
 				c.fact(FactAlwaysTrue, cl.Test, "clause test is always true")
 				// test stays nil: satisfied without evaluation
 			case c.intervalUnsat(cl.Test):

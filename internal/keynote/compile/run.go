@@ -2,7 +2,6 @@ package compile
 
 import (
 	"errors"
-	"regexp"
 	"strings"
 
 	"securewebcom/internal/keynote"
@@ -14,7 +13,7 @@ import (
 type valuation struct {
 	d          *DAG
 	slots      []string
-	stack      []value
+	stack      []keynote.Value
 	licStack   []int
 	condVal    []int
 	val        []int
@@ -22,7 +21,7 @@ type valuation struct {
 	grantedBy  []int
 	extraNames []string
 	extraOf    map[string]int
-	regexCache map[string]*regexp.Regexp
+	regexes    keynote.RegexCache
 
 	// Per-check query context for dynamic ($-indirect) lookups.
 	attrs       map[string]string
@@ -146,7 +145,7 @@ func (v *valuation) evalProg(p *cProg, maxIdx int) int {
 		cl := &p.clauses[i]
 		if cl.test != nil {
 			tv, ok := v.exec(cl.test)
-			if !ok || tv.kind != vBool || !tv.b {
+			if !ok || tv.Kind != keynote.ValBool || !tv.Bool {
 				continue
 			}
 		}

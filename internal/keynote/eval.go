@@ -3,67 +3,13 @@ package keynote
 import (
 	"errors"
 	"fmt"
-	"math"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Dynamic typing for condition expressions. RFC 2704 distinguishes string,
-// integer and float sub-grammars syntactically; this implementation uses a
-// dynamically typed evaluator with the same observable semantics:
-//
-//   - bare identifiers and $-indirection yield strings (undefined
-//     attributes read as "");
-//   - @x / &x dereference an attribute value as an integer / float, and it
-//     is an evaluation error if the value does not parse;
-//   - comparisons are numeric when both operands are numeric, string
-//     (lexicographic) otherwise;
-//   - evaluation errors (type mismatch, bad regex, division by zero,
-//     unparsable numeric dereference, unknown compliance value) make the
-//     enclosing clause fail, per the RFC's "signal failure" behaviour.
-
-type valKind int
-
-const (
-	vStr valKind = iota
-	vNum
-	vBool
-)
-
-type value struct {
-	kind valKind
-	s    string
-	f    float64
-	b    bool
-	// isInt records whether a numeric value is integral, for % semantics.
-	isInt bool
-}
-
-func strVal(s string) value { return value{kind: vStr, s: s} }
-func boolVal(b bool) value  { return value{kind: vBool, b: b} }
-func numVal(f float64) value {
-	return value{kind: vNum, f: f, isInt: f == math.Trunc(f) && !math.IsInf(f, 0)}
-}
-func intVal(i int64) value { return value{kind: vNum, f: float64(i), isInt: true} }
-
-func (v value) String() string {
-	switch v.kind {
-	case vStr:
-		return v.s
-	case vBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
-	default:
-		if v.isInt {
-			return strconv.FormatInt(int64(v.f), 10)
-		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
-	}
-}
+// The tree-walking interpreter: the reference evaluator over the value
+// kernel (value.go). Kernel failures surface as errType; clause
+// evaluation drops the error text, so only err != nil is observable.
 
 var errType = errors.New("keynote: type error in condition expression")
 
@@ -74,15 +20,14 @@ type env struct {
 	attrs map[string]string
 	// values is the ordered compliance-value set, weakest first.
 	values []string
-	// regexCache avoids recompiling patterns across assertions.
-	regexCache map[string]*regexp.Regexp
+	// regexes avoids recompiling patterns across assertions.
+	regexes RegexCache
 }
 
 func newEnv(attrs map[string]string, values []string, authorizers []string) *env {
 	e := &env{
-		attrs:      make(map[string]string, len(attrs)+4),
-		values:     values,
-		regexCache: make(map[string]*regexp.Regexp),
+		attrs:  make(map[string]string, len(attrs)+4),
+		values: values,
 	}
 	for k, v := range attrs {
 		e.attrs[k] = v
@@ -95,18 +40,6 @@ func newEnv(attrs map[string]string, values []string, authorizers []string) *env
 }
 
 func (e *env) lookup(name string) string { return e.attrs[name] }
-
-func (e *env) compileRegex(pat string) (*regexp.Regexp, error) {
-	if re, ok := e.regexCache[pat]; ok {
-		return re, nil
-	}
-	re, err := regexp.Compile(pat)
-	if err != nil {
-		return nil, fmt.Errorf("keynote: bad regex %q: %w", pat, err)
-	}
-	e.regexCache[pat] = re
-	return re, nil
-}
 
 // valueIndex maps a compliance value to its index in the ordering, or an
 // error for unknown values.
@@ -121,213 +54,87 @@ func (e *env) valueIndex(v string) (int, error) {
 
 // ---- Expression evaluation ----
 
-func (x *boolLit) eval(*env) (value, error) { return boolVal(x.v), nil }
-func (x *strLit) eval(*env) (value, error)  { return strVal(x.v), nil }
-
-func (x *numLit) eval(*env) (value, error) {
-	if !strings.Contains(x.text, ".") {
-		i, err := strconv.ParseInt(x.text, 10, 64)
-		if err == nil {
-			return intVal(i), nil
-		}
+// kernel adapts a kernel result to the interpreter's error convention.
+func kernel(v Value, ok bool) (Value, error) {
+	if !ok {
+		return Value{}, errType
 	}
-	f, err := strconv.ParseFloat(x.text, 64)
-	if err != nil {
-		return value{}, fmt.Errorf("keynote: bad numeric literal %q", x.text)
-	}
-	return numVal(f), nil
+	return v, nil
 }
 
-func (x *attrRef) eval(e *env) (value, error) {
+func (x *boolLit) eval(*env) (Value, error) { return BoolVal(x.v), nil }
+func (x *strLit) eval(*env) (Value, error)  { return StrVal(x.v), nil }
+func (x *numLit) eval(*env) (Value, error)  { return kernel(x.v, x.ok) }
+
+func (x *attrRef) eval(e *env) (Value, error) {
 	name := x.name
 	if x.indirect != nil {
 		v, err := x.indirect.eval(e)
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
-		if v.kind != vStr {
-			return value{}, fmt.Errorf("%w: $ requires a string operand", errType)
+		if v.Kind != ValStr {
+			return Value{}, errType // $ requires a string operand
 		}
-		name = v.s
+		name = v.Str
 	}
-	return strVal(e.lookup(name)), nil
+	return StrVal(e.lookup(name)), nil
 }
 
-func (x *numDeref) eval(e *env) (value, error) {
+func (x *numDeref) eval(e *env) (Value, error) {
 	v, err := x.x.eval(e)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	var s string
-	switch v.kind {
-	case vStr:
-		s = v.s
-	case vNum:
-		return v, nil // @3 or &(1+2): already numeric
-	default:
-		return value{}, fmt.Errorf("%w: numeric dereference of boolean", errType)
-	}
-	if x.float {
-		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return value{}, fmt.Errorf("keynote: &-dereference of non-float %q", s)
-		}
-		return numVal(f), nil
-	}
-	i, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return value{}, fmt.Errorf("keynote: @-dereference of non-integer %q", s)
-	}
-	return intVal(i), nil
+	return kernel(Deref(v, x.float))
 }
 
-func (x *notExpr) eval(e *env) (value, error) {
+func (x *notExpr) eval(e *env) (Value, error) {
 	v, err := x.x.eval(e)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	if v.kind != vBool {
-		return value{}, fmt.Errorf("%w: ! requires a boolean operand", errType)
-	}
-	return boolVal(!v.b), nil
+	return kernel(Not(v))
 }
 
-func (x *negExpr) eval(e *env) (value, error) {
+func (x *negExpr) eval(e *env) (Value, error) {
 	v, err := x.x.eval(e)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	if v.kind != vNum {
-		return value{}, fmt.Errorf("%w: unary - requires a numeric operand", errType)
-	}
-	out := numVal(-v.f)
-	out.isInt = v.isInt
-	return out, nil
+	return kernel(Neg(v))
 }
 
-func (x *binOp) eval(e *env) (value, error) {
-	// Short-circuit boolean connectives.
-	switch x.op {
-	case tAndAnd, tOrOr:
-		l, err := x.l.eval(e)
-		if err != nil {
-			return value{}, err
+func (x *binOp) eval(e *env) (Value, error) {
+	l, err := x.l.eval(e)
+	if err != nil {
+		return Value{}, err
+	}
+	if x.op == OpAnd || x.op == OpOr {
+		// Short-circuit: a false left operand decides &&, a true one ||.
+		if l.Kind != ValBool {
+			return Value{}, errType
 		}
-		if l.kind != vBool {
-			return value{}, fmt.Errorf("%w: %s requires boolean operands", errType, x.op)
-		}
-		if x.op == tAndAnd && !l.b {
-			return boolVal(false), nil
-		}
-		if x.op == tOrOr && l.b {
-			return boolVal(true), nil
+		if l.Bool == (x.op == OpOr) {
+			return l, nil
 		}
 		r, err := x.r.eval(e)
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
-		if r.kind != vBool {
-			return value{}, fmt.Errorf("%w: %s requires boolean operands", errType, x.op)
+		if r.Kind != ValBool {
+			return Value{}, errType
 		}
-		return boolVal(r.b), nil
-	}
-
-	l, err := x.l.eval(e)
-	if err != nil {
-		return value{}, err
+		return r, nil
 	}
 	r, err := x.r.eval(e)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-
-	switch x.op {
-	case tMatch:
-		if l.kind != vStr || r.kind != vStr {
-			return value{}, fmt.Errorf("%w: ~= requires string operands", errType)
-		}
-		re, err := e.compileRegex(r.s)
-		if err != nil {
-			return value{}, err
-		}
-		return boolVal(re.MatchString(l.s)), nil
-
-	case tEq, tNe, tLt, tGt, tLe, tGe:
-		var cmp int
-		if l.kind == vNum && r.kind == vNum {
-			switch {
-			case l.f < r.f:
-				cmp = -1
-			case l.f > r.f:
-				cmp = 1
-			}
-		} else if l.kind == vBool || r.kind == vBool {
-			return value{}, fmt.Errorf("%w: cannot compare booleans with %s", errType, x.op)
-		} else {
-			// String comparison; numeric operands coerce to their string
-			// rendering (so @level == "3" behaves predictably).
-			cmp = strings.Compare(l.String(), r.String())
-		}
-		switch x.op {
-		case tEq:
-			return boolVal(cmp == 0), nil
-		case tNe:
-			return boolVal(cmp != 0), nil
-		case tLt:
-			return boolVal(cmp < 0), nil
-		case tGt:
-			return boolVal(cmp > 0), nil
-		case tLe:
-			return boolVal(cmp <= 0), nil
-		default:
-			return boolVal(cmp >= 0), nil
-		}
-
-	case tDot:
-		if l.kind == vBool || r.kind == vBool {
-			return value{}, fmt.Errorf("%w: . requires string operands", errType)
-		}
-		return strVal(l.String() + r.String()), nil
-
-	case tPlus, tMinus, tStar, tSlash, tPercent, tCaret:
-		if l.kind != vNum || r.kind != vNum {
-			return value{}, fmt.Errorf("%w: %s requires numeric operands", errType, x.op)
-		}
-		bothInt := l.isInt && r.isInt
-		var f float64
-		switch x.op {
-		case tPlus:
-			f = l.f + r.f
-		case tMinus:
-			f = l.f - r.f
-		case tStar:
-			f = l.f * r.f
-		case tSlash:
-			if r.f == 0 {
-				return value{}, errors.New("keynote: division by zero")
-			}
-			if bothInt {
-				return intVal(int64(l.f) / int64(r.f)), nil
-			}
-			f = l.f / r.f
-		case tPercent:
-			if !bothInt {
-				return value{}, fmt.Errorf("%w: %% requires integer operands", errType)
-			}
-			if int64(r.f) == 0 {
-				return value{}, errors.New("keynote: modulo by zero")
-			}
-			return intVal(int64(l.f) % int64(r.f)), nil
-		case tCaret:
-			f = math.Pow(l.f, r.f)
-		}
-		v := numVal(f)
-		if bothInt && f == math.Trunc(f) {
-			v.isInt = true
-		}
-		return v, nil
+	if x.op == OpMatch {
+		return kernel(e.regexes.Match(l, r))
 	}
-	return value{}, fmt.Errorf("keynote: unknown operator %s", x.op)
+	return kernel(Binary(x.op, l, r))
 }
 
 // evalProgram computes the compliance-value index yielded by a conditions
@@ -342,7 +149,7 @@ func evalProgram(p *Program, e *env) int {
 	best := 0 // _MIN_TRUST
 	for _, cl := range p.Clauses {
 		v, err := cl.Test.eval(e)
-		if err != nil || v.kind != vBool || !v.b {
+		if err != nil || v.Kind != ValBool || !v.Bool {
 			continue
 		}
 		var idx int

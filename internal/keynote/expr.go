@@ -22,7 +22,7 @@ type Expr interface {
 	// eval evaluates the expression against an environment. Errors (type
 	// mismatches, undefined numeric dereferences, bad regexes, division by
 	// zero) make the enclosing clause fail rather than aborting the query.
-	eval(env *env) (value, error)
+	eval(env *env) (Value, error)
 }
 
 // Program is a parsed Conditions field: an ordered list of clauses.
@@ -90,7 +90,7 @@ func quoteKN(s string) string {
 // ---- Expression nodes ----
 
 type binOp struct {
-	op   tokKind
+	op   ExprOp
 	l, r Expr
 }
 
@@ -100,7 +100,14 @@ type negExpr struct{ x Expr } // unary minus
 
 type boolLit struct{ v bool }
 
-type numLit struct{ text string } // retains source text for rendering
+// numLit retains its source text for rendering and holds the literal's
+// value, parsed once (ok=false: out of numeric range, which fails
+// evaluation).
+type numLit struct {
+	text string
+	v    Value
+	ok   bool
+}
 
 type strLit struct{ v string }
 
@@ -323,7 +330,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &binOp{op: tOrOr, l: l, r: r}
+		l = &binOp{op: OpOr, l: l, r: r}
 	}
 	return l, nil
 }
@@ -339,7 +346,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &binOp{op: tAndAnd, l: l, r: r}
+		l = &binOp{op: OpAnd, l: l, r: r}
 	}
 	return l, nil
 }
@@ -367,7 +374,7 @@ func (p *parser) parseComparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &binOp{op: k, l: l, r: r}, nil
+		return &binOp{op: opOfTok[k], l: l, r: r}, nil
 	}
 	return l, nil
 }
@@ -385,7 +392,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &binOp{op: k, l: l, r: r}
+			l = &binOp{op: opOfTok[k], l: l, r: r}
 		default:
 			return l, nil
 		}
@@ -405,7 +412,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &binOp{op: k, l: l, r: r}
+			l = &binOp{op: opOfTok[k], l: l, r: r}
 		default:
 			return l, nil
 		}
@@ -433,7 +440,7 @@ func (p *parser) parsePower() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &binOp{op: tCaret, l: l, r: r}, nil
+		return &binOp{op: OpPow, l: l, r: r}, nil
 	}
 	return l, nil
 }
@@ -442,7 +449,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t := p.cur(); t.kind {
 	case tNumber:
 		p.advance()
-		return &numLit{text: t.text}, nil
+		v, ok := NumLit(t.text)
+		return &numLit{text: t.text, v: v, ok: ok}, nil
 	case tString:
 		p.advance()
 		return &strLit{v: t.text}, nil

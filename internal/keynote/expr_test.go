@@ -22,10 +22,10 @@ func evalTest(t *testing.T, src string, attrs map[string]string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if v.kind != vBool {
+	if v.Kind != ValBool {
 		t.Fatalf("expression %q is not boolean", src)
 	}
-	return v.b, nil
+	return v.Bool, nil
 }
 
 func TestExprBasics(t *testing.T) {
@@ -35,6 +35,7 @@ func TestExprBasics(t *testing.T) {
 		"level":      "7",
 		"pi":         "3.5",
 		"name":       "finance.manager",
+		"padded":     " 7 ",
 	}
 	cases := []struct {
 		src  string
@@ -73,6 +74,36 @@ func TestExprBasics(t *testing.T) {
 		{`1.5 + 1.5 == 3`, true},
 		{`(1 < 2) && (2 < 3) || false`, true},
 		{`@level > 5 && @level < 10`, true},
+
+		// The value kernel, operator by operand kind. Renderings are
+		// read back through '.', which shows integrality.
+		{`7 / 2 . "" == "3"`, true},         // int / int truncates
+		{`7.5 / 2 . "" == "3.75"`, true},    // a float operand divides exactly
+		{`7.0 / 2 . "" == "3"`, true},       // an integral float literal is an integer
+		{`&pi / 0.5 . "" == "7"`, true},     // an integral float result renders as an integer
+		{`4.0 % 3 == 1`, true},              // an integral float literal is an integer for %
+		{`(0 - 7) % 3 == -1`, true},         // % truncates toward zero
+		{`2 ^ 10 . "" == "1024"`, true},     // ^ of integers stays integral
+		{`2 ^ 3 % 5 == 3`, true},            // ... so % accepts it
+		{`2 ^ 0.5 > 1.41`, true},            // a float exponent
+		{`2 ^ (0 - 1) . "" == "0.5"`, true}, // a fractional result is a float
+		{`-(2 ^ 2) / 3 == -1`, true},        // unary minus keeps integrality
+		{`-&pi . "" == "-3.5"`, true},
+		{`1.5 + 1.5 . "" == "3"`, true},
+		{`@level == "7"`, true},  // number vs string compares renderings
+		{`@level < "10"`, false}, // ... lexicographically
+		{`@level < 10`, true},    // number vs number compares numerically
+		{`"10" < "9"`, true},
+		{`&pi == "3.5"`, true},
+		{`1.0 == "1"`, true},
+		{`&level == 7`, true},   // & of an integer string
+		{`@padded == 7`, true},  // @ and & ignore surrounding space
+		{`@(3 + 4) == 7`, true}, // @ of a number is the number
+		{`&"2.5" * 2 == 5`, true},
+		{`name . 1 == "finance.manager1"`, true},             // '.' renders numbers
+		{`99999999999999999999 > 9223372036854775807`, true}, // int64 overflow falls back to float
+		{`true || 1`, true},                                  // short-circuit: the right operand is never typed
+		{`!(false && 1)`, true},
 	}
 	for _, c := range cases {
 		got, err := evalTest(t, c.src, attrs)
@@ -87,7 +118,7 @@ func TestExprBasics(t *testing.T) {
 }
 
 func TestExprErrors(t *testing.T) {
-	attrs := map[string]string{"s": "hello", "n": "3"}
+	attrs := map[string]string{"s": "hello", "n": "3", "pi": "3.5"}
 	// These parse but fail at evaluation.
 	for _, src := range []string{
 		`@s == 3`,               // non-numeric dereference
@@ -102,6 +133,21 @@ func TestExprErrors(t *testing.T) {
 		`true < false`,          // boolean comparison
 		`-s == 1`,               // negation of string
 		`$(@n) == "x"`,          // $ of number
+		`&n / 0.0 == 1`,         // float division by zero
+		`1.5 / 0 == 1`,
+		`@n % 0.0 == 1`,                         // modulo by an integral float zero
+		`&pi % 2 == 1`,                          // modulo of a non-integral dereference
+		`2 ^ 0.5 % 1 == 0`,                      // a non-integral power is not an integer
+		`@pi == 3`,                              // @ of a float string
+		"1" + strings.Repeat("0", 400) + " > 1", // literal beyond float64 range
+		// A boolean operand fails every operator but the connectives.
+		`true == true`, `false != true`, `true < 1`, `1 >= false`, `true <= "x"`, `"x" > false`,
+		`true + 1 == 2`, `1 - false == 1`, `true * 2 == 2`, `1 / true == 1`, `true % 2 == 1`, `2 ^ false == 1`,
+		`"x" . false == "xfalse"`, `true ~= "t"`, `"t" ~= false`, `@(1 < 2) == 1`, `&(1 < 2) == 1`,
+		`-(1 < 2) == 1`, `$(1 < 2) == ""`,
+		// ... and a non-boolean fails the connectives and '!'.
+		`1 && true`, `true && "x"`, `false || 1`, `!1`,
+		`1 ~= "1"`, // ~= needs strings, not renderings
 	} {
 		if _, err := evalTest(t, src, attrs); err == nil {
 			t.Errorf("%q: expected evaluation error", src)

@@ -171,11 +171,12 @@ func (cl *Client) Audit() *authz.AuditLog {
 	return cl.audit
 }
 
-func (cl *Client) dial(addr string) (net.Conn, error) {
+func (cl *Client) dial(life context.Context, addr string) (net.Conn, error) {
 	if cl.Dial != nil {
 		return cl.Dial(addr)
 	}
-	return net.Dial("tcp", addr)
+	var d net.Dialer
+	return d.DialContext(life, "tcp", addr)
 }
 
 // Connect dials the master, runs the mutual authentication handshake and
@@ -192,9 +193,10 @@ func (cl *Client) Connect(addr string) error {
 	if cl.life == nil {
 		cl.life, cl.stop = context.WithCancel(context.Background())
 	}
+	life := cl.life
 	cl.mu.Unlock()
 
-	c, err := cl.handshake(addr)
+	c, err := cl.handshake(life, addr)
 	if err != nil {
 		return err
 	}
@@ -213,16 +215,19 @@ func (cl *Client) Connect(addr string) error {
 }
 
 // handshake dials addr and runs the mutual authentication handshake
-// under a read deadline, returning the authenticated connection.
-func (cl *Client) handshake(addr string) (*conn, error) {
-	raw, err := cl.dial(addr)
+// under a read deadline, returning the authenticated connection. Ending
+// life (Close) severs a handshake still in flight.
+func (cl *Client) handshake(life context.Context, addr string) (*conn, error) {
+	raw, err := cl.dial(life, addr)
 	if err != nil {
 		return nil, fmt.Errorf("webcom: client dial: %w", err)
 	}
-	c := newConn(raw)
+	live := cl.Live.withDefaults()
+	c := newConn(raw, live.IdleTimeout)
+	defer context.AfterFunc(life, func() { c.close() })()
 	// A master (or impostor) that goes silent mid-handshake must not
 	// hang Connect: the whole exchange runs under a deadline.
-	c.setHandshakeDeadline(cl.Live.withDefaults().HandshakeTimeout)
+	c.setHandshakeDeadline(live.HandshakeTimeout)
 
 	ch, err := c.recv()
 	if err != nil || ch.Type != msgChallenge {
@@ -337,7 +342,7 @@ func (cl *Client) Master() string {
 // loop and every task it started have exited, so a Dial hook must not
 // call it. A Local operation may close its client, as a crash does:
 // that call severs and returns at once, since a task cannot outwait
-// itself.
+// itself. A connection that had already dropped is not an error.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if !cl.closed {
@@ -350,7 +355,9 @@ func (cl *Client) Close() error {
 	cl.mu.Unlock()
 	var err error
 	if c != nil {
-		err = c.close()
+		if err = c.close(); errors.Is(err, net.ErrClosed) {
+			err = nil
+		}
 	}
 	if !calledFromTask() {
 		cl.Wait()
@@ -423,7 +430,7 @@ func (cl *Client) redial(rc ReconnectPolicy) (*conn, bool) {
 			return nil, false
 		case <-t.C:
 		}
-		c, err := cl.handshake(addr)
+		c, err := cl.handshake(life, addr)
 		if err == nil {
 			return c, true
 		}

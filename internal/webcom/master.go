@@ -223,7 +223,7 @@ func (m *Master) Serve(ln net.Listener) {
 		defer m.mu.Unlock()
 		return int64(len(m.clients))
 	})
-	m.srv.Serve(ln, func(raw net.Conn) { m.handleClient(newConn(raw)) })
+	m.srv.Serve(ln, m.handleClient)
 }
 
 // Addr returns the listen address.
@@ -245,8 +245,9 @@ var errMasterClosed = errors.New("webcom: master is shut down")
 
 // handleClient performs the mutual authentication handshake and then
 // serves results from the client. The connection closes when it returns.
-func (m *Master) handleClient(c *conn) {
+func (m *Master) handleClient(raw net.Conn) {
 	live := m.Live.withDefaults()
+	c := newConn(raw, live.IdleTimeout)
 	// A connection that sends nothing after the challenge must not pin
 	// this goroutine: the whole handshake runs under a read deadline.
 	c.setHandshakeDeadline(live.HandshakeTimeout)

@@ -231,17 +231,23 @@ type conn struct {
 	scratch  []byte // binary payload staging (written under wmu)
 	flushing bool
 	werr     error
+	// writeTimeout bounds each flush (the link's IdleTimeout): a peer
+	// that stops reading fails the flusher instead of blocking it, and
+	// everyone queued behind it, until the heartbeat notices. Zero
+	// means no bound.
+	writeTimeout time.Duration
 
 	lastRecv atomic.Int64 // unix nanos of the last successful recv
 }
 
-func newConn(c net.Conn) *conn {
+func newConn(c net.Conn, writeTimeout time.Duration) *conn {
 	cn := &conn{
-		raw:   c,
-		br:    bufio.NewReaderSize(c, 32<<10),
-		in:    newInternTable(),
-		wbuf:  make([]byte, 0, 4<<10),
-		spare: make([]byte, 0, 4<<10),
+		raw:          c,
+		br:           bufio.NewReaderSize(c, 32<<10),
+		in:           newInternTable(),
+		wbuf:         make([]byte, 0, 4<<10),
+		spare:        make([]byte, 0, 4<<10),
+		writeTimeout: writeTimeout,
 	}
 	cn.lastRecv.Store(time.Now().UnixNano())
 	return cn
@@ -259,6 +265,8 @@ func (c *conn) isBinary() bool { return c.binary.Load() }
 // pending frames if no other sender is already doing so. A nil return
 // means the frame was written or handed to the active flusher; once any
 // write fails the error is sticky and every subsequent send reports it.
+// A failed write may leave a partial frame on the wire, so it also
+// closes the connection, which ends the peer's read loop.
 func (c *conn) send(m *msg) error {
 	c.wmu.Lock()
 	if c.werr != nil {
@@ -297,11 +305,15 @@ func (c *conn) send(m *msg) error {
 		c.wbuf = c.spare[:0]
 		c.spare = nil
 		c.wmu.Unlock()
+		if c.writeTimeout > 0 {
+			c.raw.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		}
 		_, werr := c.raw.Write(buf)
 		c.wmu.Lock()
 		c.spare = buf[:0]
 		if werr != nil {
 			c.werr = werr
+			c.raw.Close()
 		}
 	}
 	c.flushing = false

@@ -3,6 +3,7 @@ package webcom
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -309,6 +310,166 @@ func TestClientCloseDuringHandshake(t *testing.T) {
 	}
 	if err := cl.Connect(m.Addr()); err == nil {
 		t.Fatal("a client closed mid-handshake came online")
+	}
+}
+
+// TestClientCloseAfterLinkDropped: closing a client whose connection
+// already dropped succeeds, whether the client gave up on the master
+// or is backing off between reconnects.
+func TestClientCloseAfterLinkDropped(t *testing.T) {
+	leakCheck(t)
+	for _, reconnect := range []bool{false, true} {
+		m, ks := newMasterFixture(t, "X")
+		if err := m.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		cl := trustingClient(t, ks, "X", nil)
+		redialed := make(chan struct{}, 1)
+		if reconnect {
+			cl.Reconnect = ReconnectPolicy{Enabled: true, MaxAttempts: -1, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond}
+			cl.Dial = func(addr string) (net.Conn, error) {
+				select {
+				case redialed <- struct{}{}:
+				default:
+				}
+				return net.Dial("tcp", addr)
+			}
+		}
+		if err := cl.Connect(m.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if reconnect {
+			<-redialed // the first dial's token
+		}
+		waitClients(t, m, 1)
+		m.Close() // the master goes away and takes the link with it
+		if reconnect {
+			// A redial starts only after the serve loop closed the old
+			// connection.
+			select {
+			case <-redialed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the client never tried to reconnect")
+			}
+		} else {
+			cl.Wait()
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatalf("reconnect=%v: Close after the link dropped = %v, want nil", reconnect, err)
+		}
+	}
+}
+
+// TestClientCloseInterruptsFirstHandshake: Close severs the first
+// connection's handshake instead of leaving Connect to wait out
+// HandshakeTimeout against a master that accepted and went silent.
+func TestClientCloseInterruptsFirstHandshake(t *testing.T) {
+	leakCheck(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c // and never say a word
+		}
+	}()
+	cl := &Client{Name: "X", Key: keys.Deterministic("KX", "webcom-test")} // default 10-s HandshakeTimeout
+	connected := make(chan error, 1)
+	go func() { connected <- cl.Connect(ln.Addr().String()) }()
+	select {
+	case c := <-accepted:
+		defer c.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client never dialled")
+	}
+	start := time.Now()
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	select {
+	case err := <-connected:
+		if err == nil {
+			t.Fatal("Connect succeeded against a silent master")
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Connect returned %v after Close", d)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Connect still waiting on the handshake 3 s after Close")
+	}
+}
+
+// TestClientWriteDeadlineOnStalledMaster: a master that stops reading
+// cannot block a sender past the link's IdleTimeout. The send fails,
+// and the client drops the link (a partial frame may be on the wire).
+func TestClientWriteDeadlineOnStalledMaster(t *testing.T) {
+	leakCheck(t)
+	live := Liveness{PingInterval: time.Hour, IdleTimeout: 300 * time.Millisecond}
+	mk := keys.Deterministic("Kmaster", "webcom-test")
+	cl := &Client{Name: "X", Key: keys.Deterministic("KX", "webcom-test"), Live: live}
+	// The master's end of an unbuffered pipe: after the handshake it
+	// never reads again, so the client's next write blocks at once.
+	masterEnd := make(chan net.Conn, 1)
+	cl.Dial = func(string) (net.Conn, error) {
+		c, m := net.Pipe()
+		masterEnd <- m
+		return c, nil
+	}
+	handshook := make(chan error, 1)
+	var master net.Conn
+	go func() {
+		master = <-masterEnd
+		enc, dec := json.NewEncoder(master), json.NewDecoder(master)
+		if err := enc.Encode(&msg{Type: msgChallenge, Nonce: "00", Principal: mk.PublicID()}); err != nil {
+			handshook <- err
+			return
+		}
+		var hello msg
+		if err := dec.Decode(&hello); err != nil {
+			handshook <- err
+			return
+		}
+		handshook <- enc.Encode(&msg{Type: msgWelcome, Principal: mk.PublicID(),
+			Sig: mk.Sign(handshakePayload("master", hello.Nonce, mk.PublicID()))})
+	}()
+	if err := cl.Connect("pipe"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-handshook; err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	defer cl.Close()
+
+	cl.mu.Lock()
+	c := cl.conn
+	cl.mu.Unlock()
+	sent := make(chan error, 1)
+	start := time.Now()
+	go func() { sent <- c.send(&msg{Type: msgDelegateCancel, TaskID: 1}) }()
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("a send to a master that never reads succeeded")
+		}
+		if d := time.Since(start); d > live.IdleTimeout+time.Second {
+			t.Fatalf("send failed after %v, want within IdleTimeout %v plus slack", d, live.IdleTimeout)
+		}
+	case <-time.After(live.IdleTimeout + 5*time.Second):
+		t.Fatal("send still blocked on a master that never reads")
+	}
+	done := make(chan struct{})
+	go func() {
+		cl.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the client kept a link whose write failed")
 	}
 }
 

@@ -248,7 +248,7 @@ func netDial(addr string) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(raw), nil
+	return newConn(raw, 0), nil
 }
 
 func TestFaultToleranceReschedules(t *testing.T) {
