@@ -55,14 +55,10 @@ type DAG struct {
 	consts     []keynote.Value
 	regexes    []*regexp.Regexp // nil entry = constant pattern that does not compile
 	slotNames  []string
-	// specialSlot marks slots bound to derived attributes rather than
-	// the query attribute set: 0 none, 1 _MIN_TRUST, 2 _MAX_TRUST,
-	// 3 _VALUES, 4 _ACTION_AUTHORIZERS.
-	specialSlot []uint8
-	facts       []Fact
-	stats       Stats
-	resolver    keynote.Resolver
-	pool        sync.Pool
+	facts      []Fact
+	stats      Stats
+	resolver   keynote.Resolver
+	pool       sync.Pool
 }
 
 // Stats summarises what compilation did, for telemetry and tests.
@@ -441,34 +437,21 @@ func Compile(policy, credentials []*keynote.Assertion, resolver keynote.Resolver
 
 	c, evalList, _ := analyse(admitted, resolver)
 	d := &DAG{
-		nAdmitted:   len(admitted),
-		principals:  c.principals,
-		pidOf:       c.pidOf,
-		evalList:    evalList,
-		consts:      c.consts,
-		regexes:     c.regexes,
-		slotNames:   c.slotNames,
-		specialSlot: make([]uint8, len(c.slotNames)),
-		facts:       c.facts,
-		resolver:    resolver,
+		nAdmitted:  len(admitted),
+		principals: c.principals,
+		pidOf:      c.pidOf,
+		evalList:   evalList,
+		consts:     c.consts,
+		regexes:    c.regexes,
+		slotNames:  c.slotNames,
+		facts:      c.facts,
+		resolver:   resolver,
 		stats: Stats{
 			Assertions:     len(admitted),
 			EvalAssertions: len(evalList),
 			Principals:     len(c.principals),
 			PrunedClauses:  c.pruned,
 		},
-	}
-	for i, name := range d.slotNames {
-		switch name {
-		case "_MIN_TRUST":
-			d.specialSlot[i] = 1
-		case "_MAX_TRUST":
-			d.specialSlot[i] = 2
-		case "_VALUES":
-			d.specialSlot[i] = 3
-		case "_ACTION_AUTHORIZERS":
-			d.specialSlot[i] = 4
-		}
 	}
 	d.pool.New = func() any { return newValuation(d) }
 	return d, nil

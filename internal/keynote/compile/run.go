@@ -2,7 +2,6 @@ package compile
 
 import (
 	"errors"
-	"strings"
 
 	"securewebcom/internal/keynote"
 )
@@ -58,38 +57,15 @@ func (v *valuation) reset(q keynote.Query, values []string) {
 	v.attrs = q.Attributes
 	v.values = values
 	v.authorizers = q.Authorizers
-
 	for i, name := range v.d.slotNames {
-		switch v.d.specialSlot[i] {
-		case 1:
-			v.slots[i] = values[0]
-		case 2:
-			v.slots[i] = values[len(values)-1]
-		case 3:
-			v.slots[i] = strings.Join(values, ",")
-		case 4:
-			v.slots[i] = strings.Join(q.Authorizers, ",")
-		default:
-			v.slots[i] = q.Attributes[name]
-		}
+		v.slots[i] = v.lookup(name)
 	}
 }
 
-// lookup resolves a dynamically named attribute, with the derived
-// specials taking precedence over the query attribute set — exactly as
-// the interpreter's environment construction does.
+// lookup resolves an attribute by name, statically slotted or dynamic
+// ($-indirect), through keynote.Lookup as the interpreter does.
 func (v *valuation) lookup(name string) string {
-	switch name {
-	case "_MIN_TRUST":
-		return v.values[0]
-	case "_MAX_TRUST":
-		return v.values[len(v.values)-1]
-	case "_VALUES":
-		return strings.Join(v.values, ",")
-	case "_ACTION_AUTHORIZERS":
-		return strings.Join(v.authorizers, ",")
-	}
-	return v.attrs[name]
+	return keynote.Lookup(name, v.attrs, v.values, v.authorizers)
 }
 
 // pidFor interns a canonical principal for this check only (query

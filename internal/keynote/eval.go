@@ -14,32 +14,43 @@ import (
 var errType = errors.New("keynote: type error in condition expression")
 
 // env is the evaluation environment for one query: the action attribute
-// set plus the derived special attributes (_MIN_TRUST, _MAX_TRUST,
-// _VALUES, _ACTION_AUTHORIZERS).
+// set, the ordered compliance-value set (weakest first) and the action
+// authorizers, from which Lookup derives the special attributes.
 type env struct {
-	attrs map[string]string
-	// values is the ordered compliance-value set, weakest first.
-	values []string
+	attrs       map[string]string
+	values      []string
+	authorizers []string
 	// regexes avoids recompiling patterns across assertions.
 	regexes RegexCache
 }
 
 func newEnv(attrs map[string]string, values []string, authorizers []string) *env {
-	e := &env{
-		attrs:  make(map[string]string, len(attrs)+4),
-		values: values,
-	}
-	for k, v := range attrs {
-		e.attrs[k] = v
-	}
-	e.attrs["_MIN_TRUST"] = values[0]
-	e.attrs["_MAX_TRUST"] = values[len(values)-1]
-	e.attrs["_VALUES"] = strings.Join(values, ",")
-	e.attrs["_ACTION_AUTHORIZERS"] = strings.Join(authorizers, ",")
-	return e
+	return &env{attrs: attrs, values: values, authorizers: authorizers}
 }
 
-func (e *env) lookup(name string) string { return e.attrs[name] }
+func (e *env) lookup(name string) string {
+	return Lookup(name, e.attrs, e.values, e.authorizers)
+}
+
+// Lookup resolves an attribute name for a query with action attribute
+// set attrs, ordered compliance values (weakest first) and action
+// authorizers. RFC 2704's derived specials take precedence over attrs:
+// _MIN_TRUST and _MAX_TRUST are the weakest and strongest value,
+// _VALUES all of them and _ACTION_AUTHORIZERS the authorizers, each
+// comma-separated. Both evaluators resolve names here.
+func Lookup(name string, attrs map[string]string, values, authorizers []string) string {
+	switch name {
+	case "_MIN_TRUST":
+		return values[0]
+	case "_MAX_TRUST":
+		return values[len(values)-1]
+	case "_VALUES":
+		return strings.Join(values, ",")
+	case "_ACTION_AUTHORIZERS":
+		return strings.Join(authorizers, ",")
+	}
+	return attrs[name]
+}
 
 // valueIndex maps a compliance value to its index in the ordering, or an
 // error for unknown values.

@@ -102,7 +102,20 @@ func TestExprBasics(t *testing.T) {
 		{`&"2.5" * 2 == 5`, true},
 		{`name . 1 == "finance.manager1"`, true},             // '.' renders numbers
 		{`99999999999999999999 > 9223372036854775807`, true}, // int64 overflow falls back to float
-		{`true || 1`, true},                                  // short-circuit: the right operand is never typed
+		// An integer is integral and inside [-2^63, 2^63); past that a
+		// value is a float, which renders and divides as one.
+		{`99999999999999999999 . "" == "1e+20"`, true},
+		{`99999999999999999999 / 3 . "" == "3.333333333333333e+19"`, true},
+		{`99999999999999999999 / 3 > 0`, true},
+		{`10 ^ 400 . "" == "+Inf"`, true},
+		{`-9223372036854775808 . "" == "-9223372036854775808"`, true},            // -2^63 is an integer
+		{`-9223372036854775808 / 2 . "" == "-4611686018427387904"`, true},        // ... and divides as one
+		{`-9223372036854775808 % (0 - 1) == 0`, true},                            // ... with no int64 trap
+		{`-9223372036854775808 / (0 - 1) . "" == "9.223372036854776e+18"`, true}, // 2^63 is not
+		{`9223372036854775808 . "" == "9.223372036854776e+18"`, true},            // 2^63 is a float
+		{`9223372036854775807 . "" == "9.223372036854776e+18"`, true},            // float64 rounds 2^63-1 up to 2^63
+		{`-(0 - 9223372036854775807 - 1) . "" == "9.223372036854776e+18"`, true}, // negating -2^63 leaves the range
+		{`true || 1`, true}, // short-circuit: the right operand is never typed
 		{`!(false && 1)`, true},
 	}
 	for _, c := range cases {
@@ -140,6 +153,8 @@ func TestExprErrors(t *testing.T) {
 		`2 ^ 0.5 % 1 == 0`,                      // a non-integral power is not an integer
 		`@pi == 3`,                              // @ of a float string
 		"1" + strings.Repeat("0", 400) + " > 1", // literal beyond float64 range
+		`99999999999999999999 % 7 == 1`,         // % needs integers; 1e20 is past int64
+		`9223372036854775808 % 2 == 0`,          // ... and so is 2^63
 		// A boolean operand fails every operator but the connectives.
 		`true == true`, `false != true`, `true < 1`, `1 >= false`, `true <= "x"`, `"x" > false`,
 		`true + 1 == 2`, `1 - false == 1`, `true * 2 == 2`, `1 / true == 1`, `true % 2 == 1`, `2 ^ false == 1`,

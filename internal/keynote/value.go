@@ -46,8 +46,8 @@ const (
 type Value struct {
 	Kind ValueKind
 	Bool bool
-	// IsInt records whether a numeric value is integral, for / and %
-	// semantics.
+	// IsInt records whether a numeric value is an integer, for / and %
+	// semantics and rendering: integral and inside the int64 range.
 	IsInt bool
 	Num   float64
 	Str   string
@@ -59,12 +59,17 @@ func StrVal(s string) Value { return Value{Kind: ValStr, Str: s} }
 // BoolVal returns a boolean value.
 func BoolVal(b bool) Value { return Value{Kind: ValBool, Bool: b} }
 
-// numVal returns a numeric value, integral when f has no fraction.
+// numVal returns a numeric value, an integer when f has no fraction and
+// int64 holds it, so int64(f) cannot overflow. [-2^63, 2^63) is that
+// range: float64 cannot represent 2^63-1, and the next value up is 2^63.
 func numVal(f float64) Value {
-	return Value{Kind: ValNum, Num: f, IsInt: f == math.Trunc(f) && !math.IsInf(f, 0)}
+	isInt := f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63
+	return Value{Kind: ValNum, Num: f, IsInt: isInt}
 }
 
-func intVal(i int64) Value { return Value{Kind: ValNum, Num: float64(i), IsInt: true} }
+// intVal returns an integer value. Near ±2^63, float64(i) may round to
+// 2^63, which is not an integer.
+func intVal(i int64) Value { return numVal(float64(i)) }
 
 // String renders v the way string contexts (comparison coercion, the
 // '.' operator) see it.
@@ -134,14 +139,13 @@ func Not(v Value) (Value, bool) {
 	return BoolVal(!v.Bool), true
 }
 
-// Neg implements unary '-' on a numeric operand, keeping integrality.
+// Neg implements unary '-' on a numeric operand. Integrality follows
+// from the result, since -(-2^63) leaves the int64 range.
 func Neg(v Value) (Value, bool) {
 	if v.Kind != ValNum {
 		return Value{}, false
 	}
-	out := numVal(-v.Num)
-	out.IsInt = v.IsInt
-	return out, true
+	return numVal(-v.Num), true
 }
 
 // Binary applies one of the strict binary operators: the six
@@ -190,8 +194,7 @@ func Binary(op ExprOp, l, r Value) (Value, bool) {
 
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpPow:
 		// Integer operands divide as integers; % needs integers; / and
-		// % by zero fail; ^ of integers stays integral when the result
-		// is.
+		// % by zero fail; any result is an integer when numVal says so.
 		if l.Kind != ValNum || r.Kind != ValNum {
 			return Value{}, false
 		}
@@ -208,7 +211,9 @@ func Binary(op ExprOp, l, r Value) (Value, bool) {
 			if r.Num == 0 {
 				return Value{}, false
 			}
-			if bothInt {
+			// -2^63 / -1 overflows int64; dividing by -1 is exact in
+			// float64.
+			if bothInt && r.Num != -1 {
 				return intVal(int64(l.Num) / int64(r.Num)), true
 			}
 			f = l.Num / r.Num
@@ -220,11 +225,7 @@ func Binary(op ExprOp, l, r Value) (Value, bool) {
 		default: // OpPow
 			f = math.Pow(l.Num, r.Num)
 		}
-		v := numVal(f)
-		if bothInt && f == math.Trunc(f) {
-			v.IsInt = true
-		}
-		return v, true
+		return numVal(f), true
 	}
 	return Value{}, false
 }

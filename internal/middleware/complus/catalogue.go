@@ -7,7 +7,10 @@
 //
 // In the paper's RBAC interpretation, a COM+ domain is the Windows NT
 // domain; roles are unique to each domain; object types are COM classes;
-// and permissions are Launch/Access/RunAs. The KeyCOM service of Figure 8
+// and permissions are Launch/Access/RunAs. The catalogue keeps its
+// domain's rows in one middleware.RoleTable; what stays COM-specific is
+// the class registry, the Launch/Access/RunAs vocabulary check and the
+// NT account behind every role member. The KeyCOM service of Figure 8
 // updates this catalogue with authorisations carried by KeyNote
 // credentials.
 package complus
@@ -42,31 +45,25 @@ type Catalogue struct {
 	nt    *ossec.NTDomain
 
 	mu      sync.RWMutex
-	classes map[string]*comClass         // by ProgID
-	roles   map[string]map[string]bool   // role -> member account names
-	grants  map[string]map[grantKey]bool // role -> (progID, permission)
-}
-
-type grantKey struct {
-	progID string
-	perm   string
+	classes map[string]*comClass // by ProgID
+	// table holds the role grants (object type = ProgID, permission =
+	// Launch/Access/RunAs) and the role members (NT account names).
+	table *middleware.RoleTable
 }
 
 type comClass struct {
-	progID string
-	clsid  string
-	impl   map[string]middleware.Handler // keyed by permission/operation
+	clsid string
+	impl  map[string]middleware.Handler // keyed by permission/operation
 }
 
 // NewCatalogue creates an empty catalogue for the given NT domain.
 func NewCatalogue(label string, nt *ossec.NTDomain) *Catalogue {
-	return &Catalogue{
-		label:   label,
-		nt:      nt,
-		classes: make(map[string]*comClass),
-		roles:   make(map[string]map[string]bool),
-		grants:  make(map[string]map[grantKey]bool),
-	}
+	c := &Catalogue{label: label, nt: nt, classes: make(map[string]*comClass)}
+	// The automated administrator creates the NT account of every
+	// member a policy names.
+	c.table = middleware.NewRoleTable(c.Domain(), func(rbac.Role) {},
+		func(u rbac.User) { nt.AddAccount(string(u)) })
+	return c
 }
 
 // Name implements middleware.System.
@@ -89,7 +86,7 @@ func (c *Catalogue) RegisterClass(progID string, impl map[string]middleware.Hand
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clsid := clsidFor(progID)
-	c.classes[progID] = &comClass{progID: progID, clsid: clsid, impl: impl}
+	c.classes[progID] = &comClass{clsid: clsid, impl: impl}
 	return clsid
 }
 
@@ -111,14 +108,10 @@ func (c *Catalogue) CLSID(progID string) (string, error) {
 	return cl.clsid, nil
 }
 
-// DefineRole creates a COM role (idempotent).
-func (c *Catalogue) DefineRole(role string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.roles[role] == nil {
-		c.roles[role] = make(map[string]bool)
-	}
-}
+// DefineRole declares a COM role (idempotent). A role is observable
+// only through its grants and members (ExtractPolicy, CheckAccess,
+// RoleMembers), so declaring an empty one records nothing.
+func (c *Catalogue) DefineRole(role string) {}
 
 // AddRoleMember adds an NT account to a COM role. The account must exist
 // in the catalogue's NT domain (or be resolvable via trust).
@@ -128,10 +121,7 @@ func (c *Catalogue) AddRoleMember(role, account string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.roles[role] == nil {
-		c.roles[role] = make(map[string]bool)
-	}
-	c.roles[role][account] = true
+	c.table.Assign(rbac.User(account), rbac.Role(role))
 	return nil
 }
 
@@ -142,13 +132,7 @@ func (c *Catalogue) Grant(role, progID, perm string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.roles[role] == nil {
-		c.roles[role] = make(map[string]bool)
-	}
-	if c.grants[role] == nil {
-		c.grants[role] = make(map[grantKey]bool)
-	}
-	c.grants[role][grantKey{progID, perm}] = true
+	c.table.Grant(rbac.Role(role), rbac.ObjectType(progID), rbac.Permission(perm))
 	return nil
 }
 
@@ -181,19 +165,7 @@ func (c *Catalogue) CheckAccess(ctx context.Context, u rbac.User, d rbac.Domain,
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.checkLocked(string(u), string(ot), string(perm)), nil
-}
-
-func (c *Catalogue) checkLocked(account, progID, perm string) bool {
-	for role, members := range c.roles {
-		if !members[account] {
-			continue
-		}
-		if c.grants[role][grantKey{progID, perm}] {
-			return true
-		}
-	}
-	return false
+	return c.table.Holds(u, ot, perm), nil
 }
 
 // Invoke implements middleware.Invoker. The operation is a COM
@@ -213,7 +185,7 @@ func (c *Catalogue) Invoke(ctx context.Context, u rbac.User, d rbac.Domain, ot r
 	}
 	c.mu.RLock()
 	cl, ok := c.classes[string(ot)]
-	allowed := c.checkLocked(string(u), string(ot), op)
+	allowed := c.table.Holds(u, ot, rbac.Permission(op))
 	c.mu.RUnlock()
 	if !ok {
 		return "", fmt.Errorf("complus: class %q not registered", ot)
@@ -233,19 +205,7 @@ func (c *Catalogue) Invoke(ctx context.Context, u rbac.User, d rbac.Domain, ot r
 func (c *Catalogue) ExtractPolicy(_ context.Context) (*rbac.Policy, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	p := rbac.NewPolicy()
-	d := c.Domain()
-	for role, grants := range c.grants {
-		for g := range grants {
-			p.AddRolePerm(d, rbac.Role(role), rbac.ObjectType(g.progID), rbac.Permission(g.perm))
-		}
-	}
-	for role, members := range c.roles {
-		for account := range members {
-			p.AddUserRole(rbac.User(account), d, rbac.Role(role))
-		}
-	}
-	return p, nil
+	return c.table.Extract(rbac.NewPolicy()), nil
 }
 
 // ApplyPolicy implements middleware.SecurityAdapter. Policy rows carrying
@@ -253,45 +213,12 @@ func (c *Catalogue) ExtractPolicy(_ context.Context) (*rbac.Policy, error) {
 // COM+ must map permissions first (see internal/translate's similarity
 // mapping).
 func (c *Catalogue) ApplyPolicy(_ context.Context, p *rbac.Policy) (int, error) {
-	d := c.Domain()
-	for _, e := range p.RolePerms() {
-		if e.Domain == d && !validPerm(string(e.Permission)) {
-			return 0, fmt.Errorf("complus: permission %q is not a COM permission (map it before migration)", e.Permission)
-		}
+	if err := c.ValidateDiff(rbac.Diff{AddedRolePerm: p.RolePerms()}); err != nil {
+		return 0, fmt.Errorf("%w (map it before migration)", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.roles = make(map[string]map[string]bool)
-	c.grants = make(map[string]map[grantKey]bool)
-	applied := 0
-	for _, e := range p.RolePerms() {
-		if e.Domain != d {
-			continue
-		}
-		role := string(e.Role)
-		if c.grants[role] == nil {
-			c.grants[role] = make(map[grantKey]bool)
-		}
-		if c.roles[role] == nil {
-			c.roles[role] = make(map[string]bool)
-		}
-		c.grants[role][grantKey{string(e.ObjectType), string(e.Permission)}] = true
-		applied++
-	}
-	for _, e := range p.UserRoles() {
-		if e.Domain != d {
-			continue
-		}
-		account := string(e.User)
-		c.nt.AddAccount(account) // automated administrator creates accounts
-		role := string(e.Role)
-		if c.roles[role] == nil {
-			c.roles[role] = make(map[string]bool)
-		}
-		c.roles[role][account] = true
-		applied++
-	}
-	return applied, nil
+	return c.table.Replace(p), nil
 }
 
 // ValidateDiff reports, without changing anything, whether ApplyDiff
@@ -313,58 +240,21 @@ func (c *Catalogue) ApplyDiff(_ context.Context, diff rbac.Diff) error {
 	if err := c.ValidateDiff(diff); err != nil {
 		return err
 	}
-	d := c.Domain()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range diff.AddedRolePerm {
-		if e.Domain != d {
-			continue
-		}
-		role := string(e.Role)
-		if c.grants[role] == nil {
-			c.grants[role] = make(map[grantKey]bool)
-		}
-		if c.roles[role] == nil {
-			c.roles[role] = make(map[string]bool)
-		}
-		c.grants[role][grantKey{string(e.ObjectType), string(e.Permission)}] = true
-	}
-	for _, e := range diff.RemovedRolePerm {
-		if e.Domain != d {
-			continue
-		}
-		delete(c.grants[string(e.Role)], grantKey{string(e.ObjectType), string(e.Permission)})
-	}
-	for _, e := range diff.AddedUserRole {
-		if e.Domain != d {
-			continue
-		}
-		account := string(e.User)
-		c.nt.AddAccount(account)
-		role := string(e.Role)
-		if c.roles[role] == nil {
-			c.roles[role] = make(map[string]bool)
-		}
-		c.roles[role][account] = true
-	}
-	for _, e := range diff.RemovedUserRole {
-		if e.Domain != d {
-			continue
-		}
-		delete(c.roles[string(e.Role)], string(e.User))
-	}
+	c.table.ApplyDiff(diff)
 	return nil
 }
 
 // RoleMembers returns the sorted member accounts of a role.
 func (c *Catalogue) RoleMembers(role string) []string {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
+	p := c.table.Extract(rbac.NewPolicy())
+	c.mu.RUnlock()
 	var out []string
-	for m := range c.roles[role] {
-		out = append(out, m)
+	for _, u := range p.UsersIn(c.Domain(), rbac.Role(role)) {
+		out = append(out, string(u))
 	}
-	sort.Strings(out)
 	return out
 }
 

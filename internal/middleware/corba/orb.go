@@ -7,10 +7,10 @@
 // In the paper's RBAC interpretation (Section 2), a CORBA domain is the
 // machine plus ORB server name; roles are unique to the domain; users are
 // members of roles; and permissions are the method calls on objects of a
-// given object type (IDL interface). This package stores that policy in
-// its native shape (required-rights per interface operation, granted
-// rights per role, principal role membership) and exposes it through the
-// middleware.SecurityAdapter contract.
+// given object type (IDL interface). The ORB keeps that policy's rows in
+// one middleware.RoleTable for its domain, so granted rights per role
+// and principal role membership are the shared relations; what stays
+// CORBA-specific is the interface repository and the object adapter.
 package corba
 
 import (
@@ -34,15 +34,7 @@ type ORB struct {
 	mu         sync.RWMutex
 	interfaces map[string][]string // interface repository: interface -> operations
 	objects    map[string]*servant
-
-	// CORBASec-style policy, stored natively.
-	roleOps   map[string]map[ifaceOp]bool // role -> granted (interface, op)
-	userRoles map[string]map[string]bool  // principal -> roles
-}
-
-type ifaceOp struct {
-	iface string
-	op    string
+	table      *middleware.RoleTable // CORBASec-style grants and memberships
 }
 
 type servant struct {
@@ -52,15 +44,15 @@ type servant struct {
 
 // NewORB creates an ORB named name on the given (simulated) host.
 func NewORB(label, host, name string) *ORB {
-	return &ORB{
+	o := &ORB{
 		label:      label,
 		host:       host,
 		name:       name,
 		interfaces: make(map[string][]string),
 		objects:    make(map[string]*servant),
-		roleOps:    make(map[string]map[ifaceOp]bool),
-		userRoles:  make(map[string]map[string]bool),
 	}
+	o.table = middleware.NewRoleTable(o.Domain(), func(rbac.Role) {}, func(rbac.User) {})
+	return o
 }
 
 // Name implements middleware.System.
@@ -122,20 +114,14 @@ func (o *ORB) Components() []middleware.Component {
 func (o *ORB) GrantRole(role, iface, op string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.roleOps[role] == nil {
-		o.roleOps[role] = make(map[ifaceOp]bool)
-	}
-	o.roleOps[role][ifaceOp{iface, op}] = true
+	o.table.Grant(rbac.Role(role), rbac.ObjectType(iface), rbac.Permission(op))
 }
 
 // AddPrincipalToRole makes principal a member of role.
 func (o *ORB) AddPrincipalToRole(principal, role string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.userRoles[principal] == nil {
-		o.userRoles[principal] = make(map[string]bool)
-	}
-	o.userRoles[principal][role] = true
+	o.table.Assign(rbac.User(principal), rbac.Role(role))
 }
 
 // CheckAccess implements middleware.SecurityAdapter.
@@ -147,16 +133,7 @@ func (o *ORB) CheckAccess(ctx context.Context, u rbac.User, d rbac.Domain, ot rb
 	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return o.checkLocked(string(u), string(ot), string(perm)), nil
-}
-
-func (o *ORB) checkLocked(principal, iface, op string) bool {
-	for role := range o.userRoles[principal] {
-		if o.roleOps[role][ifaceOp{iface, op}] {
-			return true
-		}
-	}
-	return false
+	return o.table.Holds(u, ot, perm), nil
 }
 
 // Invoke implements middleware.Invoker: the ORB's security interceptor
@@ -178,7 +155,7 @@ func (o *ORB) Invoke(ctx context.Context, u rbac.User, d rbac.Domain, ot rbac.Ob
 			break
 		}
 	}
-	allowed := o.checkLocked(string(u), string(ot), op)
+	allowed := o.table.Holds(u, ot, rbac.Permission(op))
 	o.mu.RUnlock()
 
 	if sv == nil {
@@ -201,7 +178,7 @@ func (o *ORB) invokeByKey(principal, key, op string, args []string) (string, err
 	sv, ok := o.objects[key]
 	var allowed bool
 	if ok {
-		allowed = o.checkLocked(principal, sv.iface, op)
+		allowed = o.table.Holds(rbac.User(principal), rbac.ObjectType(sv.iface), rbac.Permission(op))
 	}
 	o.mu.RUnlock()
 	if !ok {
@@ -224,19 +201,7 @@ func (o *ORB) invokeByKey(principal, key, op string, args []string) (string, err
 func (o *ORB) ExtractPolicy(_ context.Context) (*rbac.Policy, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	p := rbac.NewPolicy()
-	d := o.Domain()
-	for role, ops := range o.roleOps {
-		for io := range ops {
-			p.AddRolePerm(d, rbac.Role(role), rbac.ObjectType(io.iface), rbac.Permission(io.op))
-		}
-	}
-	for principal, roles := range o.userRoles {
-		for role := range roles {
-			p.AddUserRole(rbac.User(principal), d, rbac.Role(role))
-		}
-	}
-	return p, nil
+	return o.table.Extract(rbac.NewPolicy()), nil
 }
 
 // ApplyPolicy implements middleware.SecurityAdapter: the ORB's security
@@ -244,72 +209,14 @@ func (o *ORB) ExtractPolicy(_ context.Context) (*rbac.Policy, error) {
 func (o *ORB) ApplyPolicy(_ context.Context, p *rbac.Policy) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.roleOps = make(map[string]map[ifaceOp]bool)
-	o.userRoles = make(map[string]map[string]bool)
-	d := o.Domain()
-	applied := 0
-	for _, e := range p.RolePerms() {
-		if e.Domain != d {
-			continue
-		}
-		role := string(e.Role)
-		if o.roleOps[role] == nil {
-			o.roleOps[role] = make(map[ifaceOp]bool)
-		}
-		o.roleOps[role][ifaceOp{string(e.ObjectType), string(e.Permission)}] = true
-		applied++
-	}
-	for _, e := range p.UserRoles() {
-		if e.Domain != d {
-			continue
-		}
-		u := string(e.User)
-		if o.userRoles[u] == nil {
-			o.userRoles[u] = make(map[string]bool)
-		}
-		o.userRoles[u][string(e.Role)] = true
-		applied++
-	}
-	return applied, nil
+	return o.table.Replace(p), nil
 }
 
 // ApplyDiff implements middleware.SecurityAdapter.
 func (o *ORB) ApplyDiff(_ context.Context, diff rbac.Diff) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d := o.Domain()
-	for _, e := range diff.AddedRolePerm {
-		if e.Domain != d {
-			continue
-		}
-		role := string(e.Role)
-		if o.roleOps[role] == nil {
-			o.roleOps[role] = make(map[ifaceOp]bool)
-		}
-		o.roleOps[role][ifaceOp{string(e.ObjectType), string(e.Permission)}] = true
-	}
-	for _, e := range diff.RemovedRolePerm {
-		if e.Domain != d {
-			continue
-		}
-		delete(o.roleOps[string(e.Role)], ifaceOp{string(e.ObjectType), string(e.Permission)})
-	}
-	for _, e := range diff.AddedUserRole {
-		if e.Domain != d {
-			continue
-		}
-		u := string(e.User)
-		if o.userRoles[u] == nil {
-			o.userRoles[u] = make(map[string]bool)
-		}
-		o.userRoles[u][string(e.Role)] = true
-	}
-	for _, e := range diff.RemovedUserRole {
-		if e.Domain != d {
-			continue
-		}
-		delete(o.userRoles[string(e.User)], string(e.Role))
-	}
+	o.table.ApplyDiff(diff)
 	return nil
 }
 

@@ -9,7 +9,10 @@
 // combination of host, EJB server and bean-container JNDI name; roles are
 // bean-container specific; users exist server-globally (so one user can
 // hold roles in several domains of the same server); and permissions are
-// the method calls a role may make on a bean.
+// the method calls a role may make on a bean. Each container keeps its
+// domain's rows in one middleware.RoleTable; the server-global user
+// registry, the declared roles, <unchecked/> and <exclude-list>, and
+// the deployment descriptor stay EJB-specific.
 package ejb
 
 import (
@@ -40,23 +43,19 @@ type Server struct {
 type Container struct {
 	jndiName string
 
-	beans       map[string]*bean
-	roles       map[string]bool               // declared security roles
-	methodPerms map[string]map[methodRef]bool // role -> permitted methods
-	userRoles   map[string]map[string]bool    // user -> roles in this container
+	beans map[string]*bean
+	roles map[string]bool // declared security roles
+	// table holds the role grants (object type = bean, permission =
+	// method) and the user assignments of this container's domain.
+	table *middleware.RoleTable
 
 	// unchecked methods are callable by any authenticated user, and
 	// excluded methods by nobody (J2EE <unchecked/> and <exclude-list>).
 	// Both are structural deployment configuration: they survive
 	// ApplyPolicy and are not represented in the extracted RBAC relations
 	// (which model role-based grants only); exclusion dominates.
-	unchecked map[methodRef]bool
-	excluded  map[methodRef]bool
-}
-
-type methodRef struct {
-	ejbName string
-	method  string
+	unchecked map[Method]bool
+	excluded  map[Method]bool
 }
 
 type bean struct {
@@ -105,14 +104,18 @@ func (s *Server) CreateContainer(jndiName string) *Container {
 		return c
 	}
 	c := &Container{
-		jndiName:    jndiName,
-		beans:       make(map[string]*bean),
-		roles:       make(map[string]bool),
-		methodPerms: make(map[string]map[methodRef]bool),
-		userRoles:   make(map[string]map[string]bool),
-		unchecked:   make(map[methodRef]bool),
-		excluded:    make(map[methodRef]bool),
+		jndiName:  jndiName,
+		beans:     make(map[string]*bean),
+		roles:     make(map[string]bool),
+		unchecked: make(map[Method]bool),
+		excluded:  make(map[Method]bool),
 	}
+	// An imported row declares its role, and a user it names is
+	// registered on the server (the automated administrator of Section
+	// 4.1 would create them). Both run under s.mu.
+	c.table = middleware.NewRoleTable(s.domainOf(jndiName),
+		func(r rbac.Role) { c.roles[string(r)] = true },
+		func(u rbac.User) { s.users[string(u)] = true })
 	s.containers[jndiName] = c
 	return c
 }
@@ -156,22 +159,19 @@ func (c *Container) DeclareRole(role string) { c.roles[role] = true }
 // (the <method-permission> element of the deployment descriptor).
 func (c *Container) AddMethodPermission(role, ejbName, method string) {
 	c.roles[role] = true
-	if c.methodPerms[role] == nil {
-		c.methodPerms[role] = make(map[methodRef]bool)
-	}
-	c.methodPerms[role][methodRef{ejbName, method}] = true
+	c.table.Grant(rbac.Role(role), rbac.ObjectType(ejbName), rbac.Permission(method))
 }
 
 // MarkUnchecked declares a method callable by any user
 // (<method-permission><unchecked/>).
 func (c *Container) MarkUnchecked(ejbName, method string) {
-	c.unchecked[methodRef{ejbName, method}] = true
+	c.unchecked[Method{ejbName, method}] = true
 }
 
 // Exclude puts a method on the exclude list: no caller may invoke it,
 // regardless of roles (<exclude-list>). Exclusion dominates every grant.
 func (c *Container) Exclude(ejbName, method string) {
-	c.excluded[methodRef{ejbName, method}] = true
+	c.excluded[Method{ejbName, method}] = true
 }
 
 // AssignRole assigns a server user to a role in this container. The
@@ -189,10 +189,7 @@ func (s *Server) AssignRole(jndiName, user, role string) error {
 	if !c.roles[role] {
 		return fmt.Errorf("ejb: role %q not declared in container %q", role, jndiName)
 	}
-	if c.userRoles[user] == nil {
-		c.userRoles[user] = make(map[string]bool)
-	}
-	c.userRoles[user][role] = true
+	c.table.Assign(rbac.User(user), rbac.Role(role))
 	return nil
 }
 
@@ -231,23 +228,17 @@ func (s *Server) CheckAccess(ctx context.Context, u rbac.User, d rbac.Domain, ot
 	if err != nil {
 		return false, err
 	}
-	return c.check(string(u), string(ot), string(perm)), nil
+	return c.check(u, ot, string(perm)), nil
 }
 
-func (c *Container) check(user, ejbName, method string) bool {
-	ref := methodRef{ejbName, method}
+// check applies the J2EE precedence: an excluded method is denied, an
+// unchecked one allowed, and any other needs a role grant.
+func (c *Container) check(u rbac.User, ot rbac.ObjectType, method string) bool {
+	ref := Method{string(ot), method}
 	if c.excluded[ref] {
 		return false
 	}
-	if c.unchecked[ref] {
-		return true
-	}
-	for role := range c.userRoles[user] {
-		if c.methodPerms[role][ref] {
-			return true
-		}
-	}
-	return false
+	return c.unchecked[ref] || c.table.Holds(u, ot, rbac.Permission(method))
 }
 
 // Invoke implements middleware.Invoker: container-managed security runs
@@ -265,7 +256,7 @@ func (s *Server) Invoke(ctx context.Context, u rbac.User, d rbac.Domain, ot rbac
 		return "", err
 	}
 	b, ok := c.beans[string(ot)]
-	allowed := c.check(string(u), string(ot), op)
+	allowed := c.check(u, ot, op)
 	s.mu.RUnlock()
 
 	if !ok {
@@ -287,60 +278,23 @@ func (s *Server) ExtractPolicy(_ context.Context) (*rbac.Policy, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := rbac.NewPolicy()
-	for jndi, c := range s.containers {
-		d := s.domainOf(jndi)
-		for role, perms := range c.methodPerms {
-			for ref := range perms {
-				p.AddRolePerm(d, rbac.Role(role), rbac.ObjectType(ref.ejbName), rbac.Permission(ref.method))
-			}
-		}
-		for user, roles := range c.userRoles {
-			for role := range roles {
-				p.AddUserRole(rbac.User(user), d, rbac.Role(role))
-			}
-		}
+	for _, c := range s.containers {
+		c.table.Extract(p)
 	}
 	return p, nil
 }
 
 // ApplyPolicy implements middleware.SecurityAdapter: each container's
-// security configuration is rebuilt from p's rows for its domain. Users
-// referenced by the policy are auto-registered in the server registry
-// (the automated administrator of Section 4.1 would create them).
+// security configuration is rebuilt from p's rows for its domain, and
+// its declared roles become the roles those rows name. Users referenced
+// by the policy are auto-registered in the server registry.
 func (s *Server) ApplyPolicy(_ context.Context, p *rbac.Policy) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	applied := 0
-	for jndi, c := range s.containers {
-		d := s.domainOf(jndi)
-		c.methodPerms = make(map[string]map[methodRef]bool)
-		c.userRoles = make(map[string]map[string]bool)
+	for _, c := range s.containers {
 		c.roles = make(map[string]bool)
-		for _, e := range p.RolePerms() {
-			if e.Domain != d {
-				continue
-			}
-			role := string(e.Role)
-			c.roles[role] = true
-			if c.methodPerms[role] == nil {
-				c.methodPerms[role] = make(map[methodRef]bool)
-			}
-			c.methodPerms[role][methodRef{string(e.ObjectType), string(e.Permission)}] = true
-			applied++
-		}
-		for _, e := range p.UserRoles() {
-			if e.Domain != d {
-				continue
-			}
-			u := string(e.User)
-			s.users[u] = true
-			c.roles[string(e.Role)] = true
-			if c.userRoles[u] == nil {
-				c.userRoles[u] = make(map[string]bool)
-			}
-			c.userRoles[u][string(e.Role)] = true
-			applied++
-		}
+		applied += c.table.Replace(p)
 	}
 	return applied, nil
 }
@@ -349,43 +303,8 @@ func (s *Server) ApplyPolicy(_ context.Context, p *rbac.Policy) (int, error) {
 func (s *Server) ApplyDiff(_ context.Context, diff rbac.Diff) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for jndi, c := range s.containers {
-		d := s.domainOf(jndi)
-		for _, e := range diff.AddedRolePerm {
-			if e.Domain != d {
-				continue
-			}
-			role := string(e.Role)
-			c.roles[role] = true
-			if c.methodPerms[role] == nil {
-				c.methodPerms[role] = make(map[methodRef]bool)
-			}
-			c.methodPerms[role][methodRef{string(e.ObjectType), string(e.Permission)}] = true
-		}
-		for _, e := range diff.RemovedRolePerm {
-			if e.Domain != d {
-				continue
-			}
-			delete(c.methodPerms[string(e.Role)], methodRef{string(e.ObjectType), string(e.Permission)})
-		}
-		for _, e := range diff.AddedUserRole {
-			if e.Domain != d {
-				continue
-			}
-			u := string(e.User)
-			s.users[u] = true
-			c.roles[string(e.Role)] = true
-			if c.userRoles[u] == nil {
-				c.userRoles[u] = make(map[string]bool)
-			}
-			c.userRoles[u][string(e.Role)] = true
-		}
-		for _, e := range diff.RemovedUserRole {
-			if e.Domain != d {
-				continue
-			}
-			delete(c.userRoles[string(e.User)], string(e.Role))
-		}
+	for _, c := range s.containers {
+		c.table.ApplyDiff(diff)
 	}
 	return nil
 }

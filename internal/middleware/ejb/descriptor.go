@@ -4,6 +4,8 @@ import (
 	"encoding/xml"
 	"fmt"
 	"sort"
+
+	"securewebcom/internal/rbac"
 )
 
 // Deployment descriptors. The assembly-descriptor fragment of a J2EE
@@ -119,6 +121,12 @@ func (c *Container) LoadDescriptor(jar *EJBJar) error {
 // ejb-jar.xml document with one method-permission element per role,
 // deterministically ordered.
 func (c *Container) ExportDescriptor() ([]byte, error) {
+	grants := c.table.Extract(rbac.NewPolicy())
+	methods := make(map[string][]Method) // role -> granted methods, sorted
+	for _, e := range grants.RolePerms() {
+		r := string(e.Role)
+		methods[r] = append(methods[r], Method{EJBName: string(e.ObjectType), MethodName: string(e.Permission)})
+	}
 	ad := &AssemblyDescriptor{}
 	var roles []string
 	for r := range c.roles {
@@ -127,39 +135,15 @@ func (c *Container) ExportDescriptor() ([]byte, error) {
 	sort.Strings(roles)
 	for _, r := range roles {
 		ad.SecurityRoles = append(ad.SecurityRoles, SecurityRole{RoleName: r})
-		perms := c.methodPerms[r]
-		if len(perms) == 0 {
-			continue
+		if ms := methods[r]; len(ms) > 0 {
+			ad.MethodPermissions = append(ad.MethodPermissions, MethodPermission{RoleNames: []string{r}, Methods: ms})
 		}
-		var refs []methodRef
-		for ref := range perms {
-			refs = append(refs, ref)
-		}
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].ejbName != refs[j].ejbName {
-				return refs[i].ejbName < refs[j].ejbName
-			}
-			return refs[i].method < refs[j].method
-		})
-		mp := MethodPermission{RoleNames: []string{r}}
-		for _, ref := range refs {
-			mp.Methods = append(mp.Methods, Method{EJBName: ref.ejbName, MethodName: ref.method})
-		}
-		ad.MethodPermissions = append(ad.MethodPermissions, mp)
 	}
 	if len(c.unchecked) > 0 {
-		mp := MethodPermission{Unchecked: &struct{}{}}
-		for _, ref := range sortedRefs(c.unchecked) {
-			mp.Methods = append(mp.Methods, Method{EJBName: ref.ejbName, MethodName: ref.method})
-		}
-		ad.MethodPermissions = append(ad.MethodPermissions, mp)
+		ad.MethodPermissions = append(ad.MethodPermissions, MethodPermission{Unchecked: &struct{}{}, Methods: sorted(c.unchecked)})
 	}
 	if len(c.excluded) > 0 {
-		ex := &ExcludeList{}
-		for _, ref := range sortedRefs(c.excluded) {
-			ex.Methods = append(ex.Methods, Method{EJBName: ref.ejbName, MethodName: ref.method})
-		}
-		ad.ExcludeList = ex
+		ad.ExcludeList = &ExcludeList{Methods: sorted(c.excluded)}
 	}
 	out, err := xml.MarshalIndent(&EJBJar{AssemblyDescriptor: ad}, "", "  ")
 	if err != nil {
@@ -168,18 +152,17 @@ func (c *Container) ExportDescriptor() ([]byte, error) {
 	return append([]byte(xml.Header), out...), nil
 }
 
-// sortedRefs returns the method references of a set in deterministic
-// order.
-func sortedRefs(set map[methodRef]bool) []methodRef {
-	refs := make([]methodRef, 0, len(set))
-	for ref := range set {
-		refs = append(refs, ref)
+// sorted returns the methods of a set ordered by bean, then method.
+func sorted(set map[Method]bool) []Method {
+	out := make([]Method, 0, len(set))
+	for m := range set {
+		out = append(out, m)
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].ejbName != refs[j].ejbName {
-			return refs[i].ejbName < refs[j].ejbName
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].EJBName != out[j].EJBName {
+			return out[i].EJBName < out[j].EJBName
 		}
-		return refs[i].method < refs[j].method
+		return out[i].MethodName < out[j].MethodName
 	})
-	return refs
+	return out
 }

@@ -8,7 +8,8 @@
 // and a SecurityAdapter that extracts the system's security configuration
 // as an rbac.Policy and applies policies back — the primitive on which
 // policy configuration, comprehension and migration (Sections 4.1-4.3)
-// are built.
+// are built. Every adapter keeps the model's two relations in RoleTables
+// and only its native vocabulary and constraints in its own package.
 package middleware
 
 import (
@@ -145,13 +146,11 @@ func (r *Registry) Get(name string) (System, error) {
 
 // Names returns the sorted names of registered systems.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.systems))
-	for n := range r.systems {
-		out = append(out, n)
+	all := r.All()
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -159,6 +158,10 @@ func (r *Registry) Names() []string {
 func (r *Registry) All() []System {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.sortedLocked()
+}
+
+func (r *Registry) sortedLocked() []System {
 	out := make([]System, 0, len(r.systems))
 	for _, s := range r.systems {
 		out = append(out, s)
@@ -176,14 +179,8 @@ func (r *Registry) All() []System {
 func (r *Registry) GlobalPolicy(ctx context.Context) (*rbac.Policy, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.systems))
-	for n := range r.systems {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	global := rbac.NewPolicy()
-	for _, n := range names {
-		s := r.systems[n]
+	for _, s := range r.sortedLocked() {
 		p, err := s.ExtractPolicy(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("middleware: extract from %s: %w", s.Name(), err)

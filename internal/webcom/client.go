@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -113,6 +113,9 @@ type Client struct {
 	life context.Context
 	stop context.CancelFunc
 	done chan struct{}
+	// taskGs holds the ids of the goroutines that run this client's
+	// tasks (see asTask).
+	taskGs map[uint64]struct{}
 }
 
 // Engine returns the client's authorisation engine (lazily built from
@@ -340,10 +343,13 @@ func (cl *Client) Master() string {
 // first cancels the context in-flight tasks and delegations run under,
 // then severs the connection, and returns once the serve and reconnect
 // loop and every task it started have exited, so a Dial hook must not
-// call it. A Local operation may close its client, as a crash does:
-// that call severs and returns at once, since a task cannot outwait
-// itself. A connection that had already dropped is not an error.
+// call it. A Local operation of a scheduled task may close its own
+// client, as a crash does: that call severs and returns at once, since
+// a task cannot outwait itself. Closing another client from a task
+// waits like any other caller. A connection that had already dropped
+// is not an error.
 func (cl *Client) Close() error {
+	self := goid()
 	cl.mu.Lock()
 	if !cl.closed {
 		cl.closed = true
@@ -352,6 +358,7 @@ func (cl *Client) Close() error {
 		}
 	}
 	c := cl.conn
+	_, fromTask := cl.taskGs[self]
 	cl.mu.Unlock()
 	var err error
 	if c != nil {
@@ -359,30 +366,42 @@ func (cl *Client) Close() error {
 			err = nil
 		}
 	}
-	if !calledFromTask() {
+	if !fromTask {
 		cl.Wait()
 	}
 	return err
 }
 
-// runFrame is the stack frame every client task executes under.
-var runFrame = runtime.FuncForPC(reflect.ValueOf((*Client).run).Pointer()).Name()
-
-// calledFromTask reports whether Close's caller runs inside a client
-// task, of this client or another. Only Close looks, so the task path
-// pays nothing for it.
-func calledFromTask() bool {
-	var pcs [32]uintptr
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs[:])])
-	for {
-		f, more := frames.Next()
-		if f.Function == runFrame {
-			return true
-		}
-		if !more {
-			return false
-		}
+// asTask runs f on the calling goroutine as one of this client's task
+// goroutines, so that a Close called from f knows it runs inside one of
+// the tasks it would wait for, and marks wg done when f returns. Tasks
+// of other clients are not in the set. Goroutines register once, not
+// per task: a pool worker runs many tasks.
+func (cl *Client) asTask(wg *sync.WaitGroup, f func()) {
+	defer wg.Done()
+	id := goid()
+	cl.mu.Lock()
+	if cl.taskGs == nil {
+		cl.taskGs = make(map[uint64]struct{})
 	}
+	cl.taskGs[id] = struct{}{}
+	cl.mu.Unlock()
+	defer func() {
+		cl.mu.Lock()
+		delete(cl.taskGs, id)
+		cl.mu.Unlock()
+	}()
+	f()
+}
+
+// goid returns the calling goroutine's id, read from the first line of
+// its stack trace ("goroutine 7 [running]:"); Go offers no other
+// identity for the current goroutine.
+func goid() uint64 {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _ := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	return id
 }
 
 // Wait blocks until the connection to the master ends for good —
@@ -471,19 +490,15 @@ func (cl *Client) serve(c *conn) {
 	defer cancel()
 	wg.Add(taskWorkers)
 	for i := 0; i < taskWorkers; i++ {
-		go func() {
-			defer wg.Done()
+		go cl.asTask(&wg, func() {
 			for m := range taskCh {
 				cl.run(ctx, c, m)
 			}
-		}()
+		})
 	}
 	spawn := func(m *msg) {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl.run(ctx, c, m)
-		}()
+		go cl.asTask(&wg, func() { cl.run(ctx, c, m) })
 	}
 	for {
 		m, err := c.recv()

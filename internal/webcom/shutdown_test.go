@@ -230,6 +230,66 @@ func TestClientCloseWaitsForTask(t *testing.T) {
 	}
 }
 
+// TestClientCloseFromAnotherClientsTask: a Local operation of client A
+// that closes client B does not run as one of B's tasks, so B's Close
+// still waits for the task B is executing.
+func TestClientCloseFromAnotherClientsTask(t *testing.T) {
+	envA, envB := newTestEnv(t, "A"), newTestEnv(t, "B")
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var finished atomic.Bool
+	clB := envB.attach("B", map[string]func([]string) (string, error){
+		"slow": func(args []string) (string, error) {
+			close(started)
+			<-release
+			finished.Store(true)
+			return "done", nil
+		},
+	})
+	closing := make(chan struct{})
+	closeDone := make(chan struct{})
+	envA.attach("A", map[string]func([]string) (string, error){
+		"slow": func(args []string) (string, error) {
+			close(closing)
+			clB.Close()
+			close(closeDone)
+			return "closed", nil
+		},
+	})
+	waitClients(t, envA.master, 1)
+	waitClients(t, envB.master, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var runs sync.WaitGroup
+	defer func() {
+		cancel()
+		runs.Wait()
+	}()
+	run := func(m *Master) {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			m.Run(ctx, &cg.Engine{}, slowGraph(t), nil)
+		}()
+	}
+	run(envB.master)
+	<-started
+	run(envA.master)
+	<-closing
+
+	select {
+	case <-closeDone:
+		close(release)
+		t.Fatal("B's Close, called from A's task, returned while B's task still ran")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-closeDone
+	if !finished.Load() {
+		t.Fatal("B's Close returned before B's task finished")
+	}
+}
+
 // TestClientCloseCancelsDelegation: Close cancels the context a
 // delegation evaluates under, so a subgraph waiting in context-aware
 // work (here the sub-master's scheduler, retrying with no clients of
