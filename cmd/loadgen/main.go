@@ -336,7 +336,7 @@ func buildBodies(ops []string, bulk int) [][]byte {
 }
 
 // tokenCache lazily mints one JWT per user and reuses it for the run:
-// the hot zipfian head therefore exercises the server's mint cache the
+// the hot zipfian head therefore exercises the server's admission cache the
 // way real repeat visitors do, while the cold tail forces fresh mints.
 type tokenCache struct {
 	secret []byte

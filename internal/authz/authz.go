@@ -28,9 +28,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,6 +72,9 @@ type Engine struct {
 
 	tel       *telemetry.Registry
 	noCompile bool
+
+	// Histograms, resolved once by NewEngine (nil without telemetry).
+	decideLatency, bulkLatency, passes *telemetry.Histogram
 }
 
 // Option configures an Engine.
@@ -149,6 +153,9 @@ func NewEngine(chk *keynote.Checker, opts ...Option) *Engine {
 	e.sessions = NewEpochCache[*CredentialSession](e, e.sessionCap, nil, "", "")
 	e.cache = NewEpochCache[*Decision](e, e.cacheSize, e.tel, "authz.cache.hits", "authz.cache.misses")
 	e.dags = NewEpochCache[*compile.DAG](e, e.dagCacheSize, e.tel, "authz.compile.dag_cache.hits", "authz.compile.dag_cache.misses")
+	e.decideLatency = e.tel.Histogram("authz.decide.latency")
+	e.bulkLatency = e.tel.Histogram("authz.decide.bulk.latency")
+	e.passes = e.tel.Histogram("authz.fixpoint.passes")
 	return e
 }
 
@@ -243,8 +250,8 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	hits, misses := e.cache.counts()
 	return Stats{
-		Sessions:      e.sessions.len(),
-		CacheEntries:  e.cache.len(),
+		Sessions:      e.sessions.Len(),
+		CacheEntries:  e.cache.Len(),
 		Hits:          hits,
 		Misses:        misses,
 		Invalidations: e.invalidations.Load(),
@@ -341,24 +348,18 @@ func (s *CredentialSession) Decide(ctx context.Context, q keynote.Query) (*Decis
 	// Cache hits skip the span: they are already visible through
 	// Trace.CacheHit and the latency histogram, and a span per hit would
 	// dominate the cost of the hit itself on the delegation hot path.
-	key := s.fp + "\x00" + canonicalQuery(q)
-	d, epoch, ok := s.engine.cache.Get(key)
+	var buf [256]byte
+	key := appendKey(buf[:0], s.fp, q)
+	d, epoch, ok := s.engine.cache.lookup(key)
 	if ok {
-		hit := *d
-		hit.Trace.CacheHit = true
-		hit.Trace.Elapsed = time.Since(start)
-		if tel := s.engine.tel; tel != nil {
-			tel.Histogram("authz.decide.latency").ObserveDuration(hit.Trace.Elapsed)
-		}
-		return &hit, nil
+		s.engine.decideLatency.ObserveDuration(time.Since(start))
+		return d, nil
 	}
 	_, span := telemetry.StartSpan(ctx, "authz.decide")
 	defer span.Finish()
-	if tel := s.engine.tel; tel != nil {
-		defer func() {
-			tel.Histogram("authz.decide.latency").ObserveDuration(time.Since(start))
-		}()
-	}
+	defer func() {
+		s.engine.decideLatency.ObserveDuration(time.Since(start))
+	}()
 	span.SetAttr("cache", "miss")
 	res, err := s.evaluate(q)
 	if err != nil {
@@ -366,14 +367,23 @@ func (s *CredentialSession) Decide(ctx context.Context, q keynote.Query) (*Decis
 	}
 	d = s.decisionOf(q, res, start)
 	span.SetAttr("allowed", strconv.FormatBool(d.Allowed))
-	s.engine.cache.Put(key, d, epoch)
+	s.engine.cache.Put(string(key), d.cached(), epoch)
 	return d, nil
+}
+
+// cached returns the copy of d the decision cache holds: it differs
+// only in Trace.CacheHit, and every hit shares it, so a hit copies
+// nothing.
+func (d *Decision) cached() *Decision {
+	c := *d
+	c.Trace.CacheHit = true
+	return &c
 }
 
 // decisionOf wraps one compliance result in a Decision, prepending the
 // session's admission rejections and recording the fixpoint-pass count.
 func (s *CredentialSession) decisionOf(q keynote.Query, res keynote.Result, start time.Time) *Decision {
-	s.engine.tel.Histogram("authz.fixpoint.passes").Observe(float64(res.Passes))
+	s.engine.passes.Observe(float64(res.Passes))
 	if len(s.rejected) > 0 {
 		res.Rejected = append(append([]keynote.RejectedCredential{}, s.rejected...), res.Rejected...)
 	}
@@ -401,6 +411,15 @@ func (s *CredentialSession) decisionOf(q keynote.Query, res keynote.Result, star
 	return d
 }
 
+// batchKeys is the buffer a bulk decide renders its cache keys into:
+// key i is buf[ends[i-1]:ends[i]].
+type batchKeys struct {
+	buf  []byte
+	ends []int
+}
+
+var batchKeysPool = sync.Pool{New: func() any { return new(batchKeys) }}
+
 // DecideBulk answers a batch of queries in one pass, amortising the
 // per-decision overhead Decide pays: one span and one latency
 // observation for the batch, a single cache transaction for all
@@ -416,28 +435,24 @@ func (s *CredentialSession) DecideBulk(ctx context.Context, qs []keynote.Query) 
 	_, span := telemetry.StartSpan(ctx, "authz.decide.bulk")
 	defer span.Finish()
 	span.SetAttr("batch", strconv.Itoa(len(qs)))
-	if tel := s.engine.tel; tel != nil {
-		defer func() {
-			tel.Histogram("authz.decide.bulk.latency").ObserveDuration(time.Since(start))
-		}()
-	}
+	defer func() {
+		s.engine.bulkLatency.ObserveDuration(time.Since(start))
+	}()
 
-	keys := make([]string, len(qs))
+	keys := batchKeysPool.Get().(*batchKeys)
+	defer batchKeysPool.Put(keys)
+	keys.buf, keys.ends = keys.buf[:0], keys.ends[:0]
 	for i := range qs {
-		keys[i] = s.fp + "\x00" + canonicalQuery(qs[i])
+		keys.buf = appendKey(keys.buf, s.fp, qs[i])
+		keys.ends = append(keys.ends, len(keys.buf))
 	}
 	out := make([]*Decision, len(qs))
-	epoch := s.engine.cache.getBatch(keys, func(i int, d *Decision) { out[i] = d })
+	epoch := s.engine.cache.getBatch(keys.buf, keys.ends, func(i int, d *Decision) { out[i] = d })
 	var missIdx []int
 	for i, d := range out {
 		if d == nil {
 			missIdx = append(missIdx, i)
-			continue
 		}
-		hit := *d
-		hit.Trace.CacheHit = true
-		hit.Trace.Elapsed = time.Since(start)
-		out[i] = &hit
 	}
 	span.SetAttr("hits", strconv.Itoa(len(qs)-len(missIdx)))
 	if len(missIdx) == 0 {
@@ -469,39 +484,41 @@ func (s *CredentialSession) DecideBulk(ctx context.Context, qs []keynote.Query) 
 	missKeys := make([]string, len(missIdx))
 	missDecisions := make([]*Decision, len(missIdx))
 	for j, i := range missIdx {
-		missKeys[j] = keys[i]
-		missDecisions[j] = out[i]
+		from := 0
+		if i > 0 {
+			from = keys.ends[i-1]
+		}
+		missKeys[j] = string(keys.buf[from:keys.ends[i]])
+		missDecisions[j] = out[i].cached()
 	}
 	s.engine.cache.putBatch(missKeys, missDecisions, epoch)
 	return out, nil
 }
 
-// canonicalQuery renders a query as a deterministic cache-key component:
-// authorizers in given order (order is visible to conditions through
-// _ACTION_AUTHORIZERS), attributes sorted by name, then the value
-// ordering.
-func canonicalQuery(q keynote.Query) string {
-	var b strings.Builder
+// appendKey appends q's decision-cache key under session fingerprint
+// fp: fp and 0x00, then the canonical query — authorizers in given
+// order (order is visible to conditions through _ACTION_AUTHORIZERS),
+// attributes sorted by name, then the value ordering, with 0x1f/0x1e
+// separators so no value can collide with a field boundary.
+func appendKey(b []byte, fp string, q keynote.Query) []byte {
+	b = append(append(b, fp...), 0)
 	for _, a := range q.Authorizers {
-		b.WriteString(a)
-		b.WriteByte(0x1f)
+		b = append(append(b, a...), 0x1f)
 	}
-	b.WriteByte(0x1e)
-	names := make([]string, 0, len(q.Attributes))
+	b = append(b, 0x1e)
+	var spare [16]string
+	names := spare[:0]
 	for k := range q.Attributes {
 		names = append(names, k)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, k := range names {
-		b.WriteString(k)
-		b.WriteByte(0x1f)
-		b.WriteString(q.Attributes[k])
-		b.WriteByte(0x1f)
+		b = append(append(b, k...), 0x1f)
+		b = append(append(b, q.Attributes[k]...), 0x1f)
 	}
-	b.WriteByte(0x1e)
+	b = append(b, 0x1e)
 	for _, v := range q.Values {
-		b.WriteString(v)
-		b.WriteByte(0x1f)
+		b = append(append(b, v...), 0x1f)
 	}
-	return b.String()
+	return b
 }

@@ -27,9 +27,8 @@ import (
 // by LRU eviction.
 type EpochCache[V any] struct {
 	engine       *Engine
-	tel          *telemetry.Registry
-	hitName      string // telemetry counters mirrored by Get; "" = none
-	missName     string
+	hitCtr       *telemetry.Counter // mirrors of hits and misses; nil = none
+	missCtr      *telemetry.Counter
 	mu           sync.Mutex
 	epoch        uint64 // the epoch every resident entry was stamped under
 	cap          int
@@ -45,17 +44,21 @@ type lruEntry[V any] struct {
 
 // NewEpochCache builds a cache of at most capacity entries guarded by
 // engine's epoch. Lookups are mirrored into tel's hitName and missName
-// counters; an empty name is not counted.
+// counters, resolved here once; an empty name is not counted.
 func NewEpochCache[V any](engine *Engine, capacity int, tel *telemetry.Registry, hitName, missName string) *EpochCache[V] {
-	return &EpochCache[V]{
-		engine:   engine,
-		tel:      tel,
-		hitName:  hitName,
-		missName: missName,
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+	c := &EpochCache[V]{
+		engine: engine,
+		cap:    capacity,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element),
 	}
+	if hitName != "" {
+		c.hitCtr = tel.Counter(hitName)
+	}
+	if missName != "" {
+		c.missCtr = tel.Counter(missName)
+	}
+	return c
 }
 
 // Epoch returns the engine's invalidation epoch: a counter bumped by
@@ -82,19 +85,34 @@ func (c *EpochCache[V]) current() uint64 {
 func (c *EpochCache[V]) Get(key string) (v V, epoch uint64, ok bool) {
 	c.mu.Lock()
 	epoch = c.current()
-	v, ok = c.get(key)
+	el, ok := c.items[key]
+	return c.found(el, ok), epoch, ok
+}
+
+// lookup is Get for a key held in the caller's buffer: a hit allocates
+// nothing, and a caller that must Put after a miss makes the key string
+// once, exactly sized, from the same bytes.
+func (c *EpochCache[V]) lookup(key []byte) (v V, epoch uint64, ok bool) {
+	c.mu.Lock()
+	epoch = c.current()
+	el, ok := c.items[string(key)]
+	return c.found(el, ok), epoch, ok
+}
+
+// found finishes a lookup begun under c.mu: it touches and counts the
+// entry, releases the lock and returns the value (zero on a miss).
+func (c *EpochCache[V]) found(el *list.Element, ok bool) (v V) {
+	hit := 0
 	if ok {
-		c.hits++
-	} else {
-		c.misses++
+		c.ll.MoveToFront(el)
+		v = el.Value.(*lruEntry[V]).v
+		hit = 1
 	}
+	c.hits += uint64(hit)
+	c.misses += uint64(1 - hit)
 	c.mu.Unlock()
-	hits := 0
-	if ok {
-		hits = 1
-	}
-	c.mirror(hits, 1-hits)
-	return v, epoch, ok
+	c.mirror(hit, 1-hit)
+	return v
 }
 
 // Put caches v under key if the epoch still equals the snapshot the
@@ -107,22 +125,26 @@ func (c *EpochCache[V]) Put(key string, v V, epoch uint64) {
 	c.mu.Unlock()
 }
 
-// getBatch looks up every key under one lock acquisition, calling hit
-// for each live entry, and returns the epoch snapshot for putBatch.
-func (c *EpochCache[V]) getBatch(keys []string, hit func(i int, v V)) (epoch uint64) {
+// getBatch looks up many keys under one lock acquisition: key i is
+// keys[ends[i-1]:ends[i]] (from 0 for i = 0). It calls hit for each
+// live entry and returns the epoch snapshot for putBatch.
+func (c *EpochCache[V]) getBatch(keys []byte, ends []int, hit func(i int, v V)) (epoch uint64) {
 	var hits int
 	c.mu.Lock()
 	epoch = c.current()
-	for i, key := range keys {
-		if v, ok := c.get(key); ok {
-			hit(i, v)
+	from := 0
+	for i, to := range ends {
+		if el, ok := c.items[string(keys[from:to])]; ok {
+			c.ll.MoveToFront(el)
+			hit(i, el.Value.(*lruEntry[V]).v)
 			hits++
 		}
+		from = to
 	}
 	c.hits += uint64(hits)
-	c.misses += uint64(len(keys) - hits)
+	c.misses += uint64(len(ends) - hits)
 	c.mu.Unlock()
-	c.mirror(hits, len(keys)-hits)
+	c.mirror(hits, len(ends)-hits)
 	return epoch
 }
 
@@ -137,8 +159,8 @@ func (c *EpochCache[V]) putBatch(keys []string, vs []V, epoch uint64) {
 	c.mu.Unlock()
 }
 
-// len counts the live entries.
-func (c *EpochCache[V]) len() int {
+// Len counts the live entries.
+func (c *EpochCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.current()
@@ -154,22 +176,12 @@ func (c *EpochCache[V]) counts() (hits, misses uint64) {
 
 // mirror adds a lookup outcome to the telemetry counters.
 func (c *EpochCache[V]) mirror(hits, misses int) {
-	if hits > 0 && c.hitName != "" {
-		c.tel.Counter(c.hitName).Add(int64(hits))
+	if hits > 0 {
+		c.hitCtr.Add(int64(hits))
 	}
-	if misses > 0 && c.missName != "" {
-		c.tel.Counter(c.missName).Add(int64(misses))
+	if misses > 0 {
+		c.missCtr.Add(int64(misses))
 	}
-}
-
-func (c *EpochCache[V]) get(key string) (V, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).v, true
 }
 
 func (c *EpochCache[V]) put(key string, v V) {

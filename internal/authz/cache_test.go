@@ -188,12 +188,12 @@ func TestEpochCacheModel(t *testing.T) {
 				ref.epoch++
 			default:
 				ref.sync()
-				if got, want := c.len(), len(ref.entries); got != want {
+				if got, want := c.Len(), len(ref.entries); got != want {
 					t.Fatalf("seed %d step %d: len = %d, model %d", seed, step, got, want)
 				}
 			}
-			if c.len() > capacity {
-				t.Fatalf("seed %d step %d: %d entries over capacity %d", seed, step, c.len(), capacity)
+			if c.Len() > capacity {
+				t.Fatalf("seed %d step %d: %d entries over capacity %d", seed, step, c.Len(), capacity)
 			}
 		}
 	}

@@ -27,8 +27,10 @@ type Trace struct {
 	Fingerprint string
 	// CacheHit reports whether the decision came from the cache.
 	CacheHit bool
-	// Elapsed is the wall time of this decision (the cached computation's
-	// time on a miss; the lookup's on a hit).
+	// Elapsed is the wall time of the computation that produced this
+	// decision. A cache hit shares the cached decision, so it carries the
+	// time of the computation it was cached from; the lookup's own time
+	// is observed in the authz.decide.latency histogram.
 	Elapsed time.Duration
 	// Layers holds per-layer verdicts, highest layer first.
 	Layers []LayerTrace

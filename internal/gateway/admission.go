@@ -63,15 +63,21 @@ func newShedder(capacity, bulkCapacity int) *shedder {
 	return &shedder{capacity: int64(capacity), bulkCapacity: int64(bulkCapacity)}
 }
 
+// slot is one claimed place in the shedder's budget.
+type slot struct {
+	s          *shedder
+	bulk, held bool
+}
+
 // acquire claims an in-flight slot (and, for bulk requests, a bulk
 // slot). ok=false means the request must be shed; on ok=true the caller
-// must call the returned release exactly once.
-func (s *shedder) acquire(bulk bool) (release func(), ok bool) {
+// must release the slot. Releasing it again is a no-op.
+func (s *shedder) acquire(bulk bool) (sl slot, ok bool) {
 	for {
 		cur := s.inFlight.Load()
 		if cur >= s.capacity {
 			s.sheds.Add(1)
-			return nil, false
+			return slot{}, false
 		}
 		if !s.inFlight.CompareAndSwap(cur, cur+1) {
 			continue
@@ -84,7 +90,7 @@ func (s *shedder) acquire(bulk bool) (release func(), ok bool) {
 			if cur >= s.bulkCapacity {
 				s.inFlight.Add(-1)
 				s.sheds.Add(1)
-				return nil, false
+				return slot{}, false
 			}
 			if s.bulkInFlight.CompareAndSwap(cur, cur+1) {
 				break
@@ -101,15 +107,19 @@ func (s *shedder) acquire(bulk bool) (release func(), ok bool) {
 			break
 		}
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			if bulk {
-				s.bulkInFlight.Add(-1)
-			}
-			s.inFlight.Add(-1)
-		})
-	}, true
+	return slot{s: s, bulk: bulk, held: true}, true
+}
+
+// release returns the slot to the budget, once.
+func (sl *slot) release() {
+	if !sl.held {
+		return
+	}
+	sl.held = false
+	if sl.bulk {
+		sl.s.bulkInFlight.Add(-1)
+	}
+	sl.s.inFlight.Add(-1)
 }
 
 // Token-bucket defaults.

@@ -19,13 +19,13 @@ func TestShedderCapacity(t *testing.T) {
 	if _, ok := s.acquire(false); ok {
 		t.Fatal("third acquire admitted over capacity 2")
 	}
-	r1()
+	r1.release()
 	r3, ok := s.acquire(false)
 	if !ok {
 		t.Fatal("acquire after release shed")
 	}
-	r3()
-	r2()
+	r3.release()
+	r2.release()
 	if got := s.inFlight.Load(); got != 0 {
 		t.Fatalf("in-flight %d after all releases", got)
 	}
@@ -42,7 +42,7 @@ func TestShedderCapacity(t *testing.T) {
 // traffic before interactive traffic.
 func TestShedderBulkShedsFirst(t *testing.T) {
 	s := newShedder(8, 2)
-	var rels []func()
+	var rels []slot
 	for i := 0; i < 2; i++ {
 		r, ok := s.acquire(true)
 		if !ok {
@@ -62,9 +62,9 @@ func TestShedderBulkShedsFirst(t *testing.T) {
 	if !ok {
 		t.Fatal("single shed while bulk budget exhausted")
 	}
-	r()
+	r.release()
 	for _, r := range rels {
-		r()
+		r.release()
 	}
 }
 
@@ -74,8 +74,8 @@ func TestShedderDoubleReleaseIsIdempotent(t *testing.T) {
 	if !ok {
 		t.Fatal("acquire shed")
 	}
-	r()
-	r() // second call must be a no-op, not an underflow
+	r.release()
+	r.release() // second call must be a no-op, not an underflow
 	if got := s.inFlight.Load(); got != 0 {
 		t.Fatalf("in-flight %d after double release", got)
 	}
@@ -97,7 +97,7 @@ func TestShedderConcurrentNeverExceedsCapacity(t *testing.T) {
 					if n := s.inFlight.Load(); n > capacity {
 						t.Errorf("in-flight %d over capacity %d", n, capacity)
 					}
-					r()
+					r.release()
 				}
 			}
 		}(g)

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,9 +71,12 @@ type Config struct {
 	RatePerPrincipal float64
 	Burst            float64
 	MaxPrincipals    int
-	// MaxBodyBytes bounds request bodies (<=0: DefaultMaxBodyBytes).
+	// MaxBodyBytes bounds request bodies (<=0: DefaultMaxBodyBytes); a
+	// longer body is refused with 413.
 	MaxBodyBytes int64
-	// Now is the clock (nil: time.Now). Tests pin it.
+	// Now is the policy clock (nil: time.Now): token expiry, rate buckets
+	// and the not_after attribute read it. Tests pin it. Latency is timed
+	// on the monotonic clock whatever Now says.
 	Now func() time.Time
 }
 
@@ -81,13 +85,17 @@ type Server struct {
 	engine  *authz.Engine
 	bridge  *jwtbridge.Bridge
 	keycom  *keycom.Service
-	tel     *telemetry.Registry
 	tracer  *telemetry.Tracer
 	shed    *shedder
 	buckets *tokenBuckets
 	maxBody int64
 	now     func() time.Time
 	mux     *http.ServeMux
+
+	// Metrics, resolved once by New (nil without a registry).
+	decides, authRejects, shedCapacity, shedRate *telemetry.Counter
+	credCommits, credRefusals                    *telemetry.Counter
+	decideLatency                                *telemetry.Histogram
 }
 
 // New builds a Server and, when a KeyCOM service is present, wires its
@@ -98,6 +106,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Bridge == nil {
 		return nil, errors.New("gateway: Config.Bridge is required")
+	}
+	if cfg.Bridge.Engine() != cfg.Engine {
+		return nil, errors.New("gateway: Config.Bridge must admit into Config.Engine")
 	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
@@ -111,12 +122,19 @@ func New(cfg Config) (*Server, error) {
 		engine:  cfg.Engine,
 		bridge:  cfg.Bridge,
 		keycom:  cfg.KeyCOM,
-		tel:     cfg.Tel,
 		tracer:  cfg.Tracer,
 		shed:    newShedder(cfg.MaxInFlight, cfg.MaxBulkInFlight),
 		buckets: newTokenBuckets(cfg.RatePerPrincipal, cfg.Burst, cfg.MaxPrincipals),
 		maxBody: maxBody,
 		now:     now,
+
+		decides:       cfg.Tel.Counter("gateway.decides"),
+		authRejects:   cfg.Tel.Counter("gateway.auth.rejects"),
+		shedCapacity:  cfg.Tel.Counter("gateway.shed.over capacity"),
+		shedRate:      cfg.Tel.Counter("gateway.shed.rate limit"),
+		credCommits:   cfg.Tel.Counter("gateway.credentials.commits"),
+		credRefusals:  cfg.Tel.Counter("gateway.credentials.refusals"),
+		decideLatency: cfg.Tel.Histogram("gateway.decide.latency"),
 	}
 	if s.keycom != nil {
 		// A committed catalogue update must orphan every cached decision,
@@ -132,10 +150,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.tracer != nil {
-		r = r.WithContext(telemetry.WithTracer(r.Context(), s.tracer))
-	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// startSpan opens a handler's span under the server's tracer.
+func (s *Server) startSpan(r *http.Request, name string) (context.Context, *telemetry.Span) {
+	return telemetry.StartSpan(telemetry.WithTracer(r.Context(), s.tracer), name)
 }
 
 // ShedStats reports the admission-control counters.
@@ -171,16 +191,33 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	s.writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// shedReply refuses a request with 429 and a Retry-After hint; the
-// request has done no work yet, so retrying is always safe.
-func (s *Server) shedReply(w http.ResponseWriter, retryAfter time.Duration, why string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	s.counter("gateway.shed." + why).Inc()
-	s.fail(w, http.StatusTooManyRequests, "shed: %s", why)
+// writeBody sends a 200 reply rendered by the /v1/decide codec.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
-func (s *Server) counter(name string) *telemetry.Counter {
-	return s.tel.Counter(name)
+// failBody refuses a request whose body could not be read or decoded:
+// 413 when it is over the size cap or the bulk bound, else 400.
+func (s *Server) failBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		s.fail(w, http.StatusRequestEntityTooLarge, "body over %d bytes", tooLarge.Limit)
+	case errors.Is(err, errTooManyQueries):
+		s.fail(w, http.StatusRequestEntityTooLarge, "%v", err)
+	default:
+		s.fail(w, http.StatusBadRequest, "decode: %v", err)
+	}
+}
+
+// shedReply refuses a request with 429 and a Retry-After hint; the
+// request has done no work yet, so retrying is always safe.
+func (s *Server) shedReply(w http.ResponseWriter, retryAfter time.Duration, why string, sheds *telemetry.Counter) {
+	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+	sheds.Inc()
+	s.fail(w, http.StatusTooManyRequests, "shed: %s", why)
 }
 
 // bearer extracts the Authorization bearer token.
@@ -194,7 +231,9 @@ func bearer(r *http.Request) (string, bool) {
 }
 
 // decideRequest is the /v1/decide body: either one query (Operation
-// set) or a bulk batch (Queries set). Setting both is an error.
+// set) or a bulk batch (Queries set). Setting both is an error. The
+// codec (codec.go) decodes it by hand; its json tags define the shape
+// the decoder is checked against.
 type decideRequest struct {
 	Operation  string            `json:"operation,omitempty"`
 	Attributes map[string]string `json:"attributes,omitempty"`
@@ -206,7 +245,9 @@ type decideQuery struct {
 	Attributes map[string]string `json:"attributes,omitempty"`
 }
 
-// decideResult is one decision on the wire.
+// decideResult is one decision on the wire. It, decideResponse and
+// bulkResponse define the reply shapes; the codec renders them by hand,
+// byte-identical to json.Encoder's rendering of these types.
 type decideResult struct {
 	Allowed  bool   `json:"allowed"`
 	Value    string `json:"value"`
@@ -227,27 +268,28 @@ type bulkResponse struct {
 
 // reservedAttrs are query attributes the gateway stamps itself; a
 // client supplying them could widen its own authority.
-var reservedAttrs = map[string]bool{
-	"app_domain":       true,
-	"operation":        true,
-	authz.NotAfterAttr: true,
-}
+var reservedAttrs = [...]string{"app_domain", "operation", authz.NotAfterAttr}
 
-func (s *Server) buildQuery(principal string, op string, attrs map[string]string, nowAttr string) (keynote.Query, error) {
+// stampQuery completes a decoded query's attributes in place (a nil map
+// is allocated): it refuses reserved names and an empty operation, then
+// stamps the application domain, the operation and the not_after
+// instant.
+func (s *Server) stampQuery(attrs map[string]string, op, nowAttr string) (map[string]string, error) {
 	if op == "" {
-		return keynote.Query{}, errors.New("operation is required")
+		return attrs, errors.New("operation is required")
 	}
-	qa := make(map[string]string, len(attrs)+3)
-	for k, v := range attrs {
-		if reservedAttrs[k] {
-			return keynote.Query{}, fmt.Errorf("attribute %q is reserved", k)
+	for _, k := range reservedAttrs {
+		if _, ok := attrs[k]; ok {
+			return attrs, fmt.Errorf("attribute %q is reserved", k)
 		}
-		qa[k] = v
 	}
-	qa["app_domain"] = s.bridge.AppDomain
-	qa["operation"] = op
-	qa[authz.NotAfterAttr] = nowAttr
-	return keynote.Query{Authorizers: []string{principal}, Attributes: qa}, nil
+	if attrs == nil {
+		attrs = make(map[string]string, len(reservedAttrs))
+	}
+	attrs["app_domain"] = s.bridge.AppDomain
+	attrs["operation"] = op
+	attrs[authz.NotAfterAttr] = nowAttr
+	return attrs, nil
 }
 
 // nowAttr renders the current instant for the query's expiry attribute,
@@ -264,111 +306,102 @@ func (s *Server) nowAttr(now time.Time) string {
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	start := s.now()
-	ctx, span := telemetry.StartSpan(r.Context(), "gateway.decide")
+	start := time.Now() // monotonic, for the latency histogram
+	now := s.now()      // the policy clock
+	ctx, span := s.startSpan(r, "gateway.decide")
 	defer span.Finish()
 
 	// Parse first: whether the request is bulk decides which shedder
 	// budget it draws from. The body is hard-bounded, so a hostile
 	// payload cannot balloon the parse.
-	var req decideRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decode: %v", err)
+	sc := statePool.Get().(*decideState)
+	defer sc.release()
+	if err := sc.read(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		s.failBody(w, err)
 		return
 	}
+	req := &sc.req
 	bulk := len(req.Queries) > 0
 	if bulk && req.Operation != "" {
 		s.fail(w, http.StatusBadRequest, "set either operation or queries, not both")
 		return
 	}
-	if len(req.Queries) > MaxBulkQueries {
-		s.fail(w, http.StatusRequestEntityTooLarge, "bulk batch over %d queries", MaxBulkQueries)
-		return
-	}
-	span.SetAttr("bulk", fmt.Sprintf("%v", bulk))
+	span.SetAttr("bulk", strconv.FormatBool(bulk))
 
 	// Admission, cheapest refusal first: the concurrency shedder runs
 	// before the signature on the bearer token is ever checked. A shed
 	// request has touched no engine or bridge state — it is never
 	// half-executed.
-	release, ok := s.shed.acquire(bulk)
+	slot, ok := s.shed.acquire(bulk)
 	if !ok {
 		span.SetAttr("shed", "concurrency")
-		s.shedReply(w, ShedRetryAfter, "over capacity")
+		s.shedReply(w, ShedRetryAfter, "over capacity", s.shedCapacity)
 		return
 	}
-	defer release()
+	defer slot.release()
 
 	tok, ok := bearer(r)
 	if !ok {
 		s.fail(w, http.StatusUnauthorized, "missing bearer token")
 		return
 	}
-	p, err := s.bridge.Admit(start, tok)
+	p, err := s.bridge.Admit(now, tok)
 	if err != nil {
-		s.counter("gateway.auth.rejects").Inc()
+		s.authRejects.Inc()
 		s.fail(w, http.StatusUnauthorized, "%v", err)
 		return
 	}
 	span.SetAttr("principal", p.Name)
 
-	allowed, wait := s.buckets.allow(p.Name, start)
+	allowed, wait := s.buckets.allow(p.Name, now)
 	if !allowed {
 		span.SetAttr("shed", "rate")
-		s.shedReply(w, wait, "rate limit")
+		s.shedReply(w, wait, "rate limit", s.shedRate)
 		return
 	}
 
-	session := s.engine.Session([]*keynote.Assertion{p.Credential})
-	nowAttr := s.nowAttr(start)
+	nowAttr := s.nowAttr(now)
 	epoch := s.engine.Epoch()
+	sc.who[0] = p.Name
 
 	if !bulk {
-		q, err := s.buildQuery(p.Name, req.Operation, req.Attributes, nowAttr)
+		req.Attributes, err = s.stampQuery(req.Attributes, req.Operation, nowAttr)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		d, err := session.Decide(ctx, q)
+		d, err := p.Session.Decide(ctx, keynote.Query{Authorizers: sc.who[:], Attributes: req.Attributes})
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, "decide: %v", err)
 			return
 		}
 		s.observeDecide(start, 1)
-		s.writeJSON(w, http.StatusOK, decideResponse{
-			decideResult: decideResult{Allowed: d.Allowed, Value: d.Value, CacheHit: d.Trace.CacheHit},
-			Epoch:        epoch,
-			Principal:    p.Name,
-		})
+		sc.out = appendDecideReply(sc.out[:0], d, epoch, p.Name)
+		writeBody(w, sc.out)
 		return
 	}
 
-	qs := make([]keynote.Query, len(req.Queries))
-	for i, dq := range req.Queries {
-		q, err := s.buildQuery(p.Name, dq.Operation, dq.Attributes, nowAttr)
-		if err != nil {
+	for i := range req.Queries {
+		dq := &req.Queries[i]
+		if dq.Attributes, err = s.stampQuery(dq.Attributes, dq.Operation, nowAttr); err != nil {
 			s.fail(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
-		qs[i] = q
+		sc.qs = append(sc.qs, keynote.Query{Authorizers: sc.who[:], Attributes: dq.Attributes})
 	}
-	ds, err := session.DecideBulk(ctx, qs)
+	ds, err := p.Session.DecideBulk(ctx, sc.qs)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "decide bulk: %v", err)
 		return
 	}
-	out := bulkResponse{Decisions: make([]decideResult, len(ds)), Epoch: epoch, Principal: p.Name}
-	for i, d := range ds {
-		out.Decisions[i] = decideResult{Allowed: d.Allowed, Value: d.Value, CacheHit: d.Trace.CacheHit}
-	}
 	s.observeDecide(start, len(ds))
-	s.writeJSON(w, http.StatusOK, out)
+	sc.out = appendBulkReply(sc.out[:0], ds, epoch, p.Name)
+	writeBody(w, sc.out)
 }
 
 func (s *Server) observeDecide(start time.Time, n int) {
-	s.counter("gateway.decides").Add(int64(n))
-	s.tel.Histogram("gateway.decide.latency").ObserveDuration(time.Since(start))
+	s.decides.Add(int64(n))
+	s.decideLatency.ObserveDuration(time.Since(start))
 }
 
 // credentialsResponse acknowledges a committed catalogue update.
@@ -378,7 +411,7 @@ type credentialsResponse struct {
 }
 
 func (s *Server) handleCredentials(w http.ResponseWriter, r *http.Request) {
-	ctx, span := telemetry.StartSpan(r.Context(), "gateway.credentials")
+	ctx, span := s.startSpan(r, "gateway.credentials")
 	defer span.Finish()
 	if s.keycom == nil {
 		s.fail(w, http.StatusServiceUnavailable, "no credential plane configured")
@@ -387,11 +420,11 @@ func (s *Server) handleCredentials(w http.ResponseWriter, r *http.Request) {
 	var req keycom.UpdateRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decode: %v", err)
+		s.failBody(w, err)
 		return
 	}
 	if err := s.keycom.Apply(ctx, &req); err != nil {
-		s.counter("gateway.credentials.refusals").Inc()
+		s.credRefusals.Inc()
 		span.SetAttr("refused", "true")
 		// Authorisation and lint refusals are the caller's fault; anything
 		// else (store, middleware) is ours.
@@ -402,7 +435,7 @@ func (s *Server) handleCredentials(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, "%v", err)
 		return
 	}
-	s.counter("gateway.credentials.commits").Inc()
+	s.credCommits.Inc()
 	// The epoch in the ack is the post-commit epoch: the caller can watch
 	// it advance past the epoch of any earlier decide response.
 	s.writeJSON(w, http.StatusOK, credentialsResponse{Committed: true, Epoch: s.engine.Epoch()})

@@ -164,10 +164,15 @@ func (f *fixture) engineVerdict(sub, scope, op string, attrs map[string]string) 
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	q, err := f.srv.buildQuery(p.Name, op, attrs, f.srv.nowAttr(e2eNow))
+	qa := make(map[string]string, len(attrs))
+	for k, v := range attrs {
+		qa[k] = v
+	}
+	qa, err = f.srv.stampQuery(qa, op, f.srv.nowAttr(e2eNow))
 	if err != nil {
 		f.t.Fatal(err)
 	}
+	q := keynote.Query{Authorizers: []string{p.Name}, Attributes: qa}
 	d, err := f.engine.Session([]*keynote.Assertion{p.Credential}).Decide(context.Background(), q)
 	if err != nil {
 		f.t.Fatal(err)
@@ -305,15 +310,19 @@ func TestE2EDenialPaths(t *testing.T) {
 	check("oversized bulk", resp, http.StatusRequestEntityTooLarge)
 }
 
-// TestE2EBodyBounded: a body over the configured cap is refused during
-// decode, before any admission state is touched.
+// TestE2EBodyBounded: a body over the configured cap is refused with
+// 413 on both POST endpoints, before any admission state is touched.
 func TestE2EBodyBounded(t *testing.T) {
 	f := newFixture(t, func(c *Config) { c.MaxBodyBytes = 512 })
 	tok := f.token("alice", "echo")
 	attrs := map[string]string{"filler": strings.Repeat("x", 4096)}
 	_, resp := f.decide(tok, "echo", attrs)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized decide body: status %d, want 413", resp.StatusCode)
+	}
+	update := &keycom.UpdateRequest{Requester: strings.Repeat("x", 4096)}
+	if resp := f.post("/v1/credentials", "", update, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized credentials body: status %d, want 413", resp.StatusCode)
 	}
 }
 
@@ -457,5 +466,25 @@ func TestE2ERateLimitPerPrincipal(t *testing.T) {
 	_, resp = f.decide(f.token("cold", "echo"), "echo", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold principal: status %d", resp.StatusCode)
+	}
+}
+
+// TestNewRefusesForeignBridge: a bridge admits principals into the
+// sessions of one engine, so New refuses a bridge built over another
+// engine or over none.
+func TestNewRefusesForeignBridge(t *testing.T) {
+	f := newFixture(t, nil)
+	verifier := &jwtbridge.Verifier{Issuer: "idp.example", HS256Secret: e2eSecret}
+	for name, engine := range map[string]*authz.Engine{
+		"no engine":      nil,
+		"another engine": authz.NewEngine(f.engine.Checker()),
+	} {
+		bridge, err := jwtbridge.New(verifier, f.gwKey, engine, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Engine: f.engine, Bridge: bridge}); err == nil {
+			t.Errorf("%s: New accepted a bridge that admits outside Config.Engine", name)
+		}
 	}
 }

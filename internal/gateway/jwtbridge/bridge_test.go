@@ -206,3 +206,175 @@ Signature: sig-ed25519:5fe939ed50e48da8c876c27874f1570d14bc3891edfd58bfddfa56a9e
 		t.Fatalf("minted credential text drifted.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// The admission cache serves a token by its exact bytes and skips
+// Verify. These tests pin what a hit must still check: each fails
+// against a bridge that skips the matching check on a hit.
+
+// TestAdmitCacheRefusesExpiredToken: a cached token is refused with
+// ErrExpired once now reaches exp+Leeway, though its expiry bound still
+// names the cached entry.
+func TestAdmitCacheRefusesExpiredToken(t *testing.T) {
+	secret := []byte("s3cret")
+	br := newTestBridge(t, secret)
+	br.verifier.Leeway = 10 * time.Second
+	c := baseClaims()
+	c.ExpiresAt = testNow.Add(30 * time.Second).Unix() // bound = exp, in every bucket
+	tok := hsToken(t, secret, c)
+	if _, err := br.Admit(testNow, tok); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := br.Admit(testNow.Add(20*time.Second), tok); err != nil || !p.CacheHit {
+		t.Fatalf("admit inside exp: hit %v, err %v", p != nil && p.CacheHit, err)
+	}
+	late := time.Unix(c.ExpiresAt, 0).Add(br.verifier.Leeway)
+	if _, err := br.Admit(late, tok); !errors.Is(err, ErrExpired) {
+		t.Fatalf("cached token at exp+Leeway: err %v, want ErrExpired", err)
+	}
+}
+
+// TestAdmitCacheRefusesTokenBeforeNbf: a token admitted after its nbf
+// is refused with ErrNotYet when presented again, in the same bucket,
+// at an instant before its nbf.
+func TestAdmitCacheRefusesTokenBeforeNbf(t *testing.T) {
+	secret := []byte("s3cret")
+	br := newTestBridge(t, secret)
+	c := baseClaims()
+	c.NotBefore = testNow.Add(20 * time.Second).Unix()
+	tok := hsToken(t, secret, c)
+	if _, err := br.Admit(testNow.Add(30*time.Second), tok); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.Admit(testNow.Add(5*time.Second), tok); !errors.Is(err, ErrNotYet) {
+		t.Fatalf("cached token before nbf: err %v, want ErrNotYet", err)
+	}
+}
+
+// TestAdmitCacheRefusesFlippedSignature: the cache is keyed by the
+// whole token, so a cached token with one signature byte changed is
+// verified afresh and refused.
+func TestAdmitCacheRefusesFlippedSignature(t *testing.T) {
+	secret := []byte("s3cret")
+	br := newTestBridge(t, secret)
+	tok := hsToken(t, secret, baseClaims())
+	if _, err := br.Admit(testNow, tok); err != nil {
+		t.Fatal(err)
+	}
+	// Flip a character in the middle of the signature segment: its six
+	// bits all land in the decoded signature.
+	i := strings.LastIndexByte(tok, '.') + 10
+	flip := byte('A')
+	if tok[i] == flip {
+		flip = 'B'
+	}
+	forged := tok[:i] + string(flip) + tok[i+1:]
+	if _, err := br.Admit(testNow, forged); !errors.Is(err, ErrBadSig) {
+		t.Fatalf("token with a flipped signature byte: err %v, want ErrBadSig", err)
+	}
+}
+
+// TestAdmitCacheRemintsAfterCommit: an engine epoch bump (a KeyCOM
+// commit) orphans every cached admission, so the next admit mints once
+// more, into a session of the new epoch.
+func TestAdmitCacheRemintsAfterCommit(t *testing.T) {
+	secret := []byte("s3cret")
+	signer := keys.Deterministic("Kgateway", "bridge-test")
+	ks := keys.NewKeyStore()
+	ks.Add(signer)
+	policy := keynote.MustNew("POLICY", `"`+signer.PublicID()+`"`, `app_domain=="WebCom";`)
+	chk, err := keynote.NewChecker([]*keynote.Assertion{policy}, keynote.WithResolver(ks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := authz.NewEngine(chk)
+	tel := telemetry.NewRegistry()
+	br, err := New(&Verifier{Issuer: "idp.example", HS256Secret: secret}, signer, engine, 0, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := hsToken(t, secret, baseClaims())
+	mints := tel.Counter("gateway.bridge.mints")
+
+	p1, err := br.Admit(testNow, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.Session == nil || p1.Session != engine.Session([]*keynote.Assertion{p1.Credential}) {
+		t.Fatal("admitted principal does not carry its engine session")
+	}
+	if p2, err := br.Admit(testNow, tok); err != nil || !p2.CacheHit {
+		t.Fatalf("second admit: hit %v, err %v", p2 != nil && p2.CacheHit, err)
+	}
+	before := mints.Value()
+	engine.Invalidate()
+	p3, err := br.Admit(testNow, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3.CacheHit {
+		t.Fatal("admit after an epoch bump hit the cache")
+	}
+	if got := mints.Value(); got != before+1 {
+		t.Fatalf("gateway.bridge.mints %d after the commit, want %d", got, before+1)
+	}
+	if p3.Session == p1.Session {
+		t.Fatal("admit after an epoch bump reused the pre-commit session")
+	}
+}
+
+// TestAdmitCacheBounded: the cache never holds more entries than the
+// mint-cache size the bridge was built with.
+func TestAdmitCacheBounded(t *testing.T) {
+	const capacity = 4
+	secret := []byte("s3cret")
+	br, err := New(&Verifier{Issuer: "idp.example", HS256Secret: secret},
+		keys.Deterministic("Kgateway", "bridge-test"), nil, capacity, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*capacity; i++ {
+		c := baseClaims()
+		c.Subject = "user-" + string(rune('a'+i))
+		if _, err := br.Admit(testNow, hsToken(t, secret, c)); err != nil {
+			t.Fatal(err)
+		}
+		if n := br.admitted.Len(); n > capacity {
+			t.Fatalf("after %d tokens the cache holds %d entries, capacity %d", i+1, n, capacity)
+		}
+	}
+}
+
+// TestAdmitRotatedTokensShareMint: distinct tokens of one subject and
+// one scope, admitted in one expiry bucket, each miss the admission
+// cache but share one minted credential through the mint cache.
+func TestAdmitRotatedTokensShareMint(t *testing.T) {
+	secret := []byte("s3cret")
+	tel := telemetry.NewRegistry()
+	br, err := New(&Verifier{Issuer: "idp.example", HS256Secret: secret},
+		keys.Deterministic("Kgateway", "bridge-test"), nil, 0, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Principal
+	for i := 0; i < 3; i++ {
+		c := baseClaims()
+		c.IssuedAt = testNow.Add(-time.Duration(i) * time.Second).Unix() // a new token each time
+		p, err := br.Admit(testNow, hsToken(t, secret, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = p
+			continue
+		}
+		if !p.CacheHit || p.Credential != first.Credential {
+			t.Fatalf("rotated token %d: hit %v, same credential %v", i, p.CacheHit, p.Credential == first.Credential)
+		}
+	}
+	if n := tel.Counter("gateway.bridge.mints").Value(); n != 1 {
+		t.Fatalf("gateway.bridge.mints %d for one subject and scope, want 1", n)
+	}
+	if n := br.admitted.Len(); n != 3 {
+		t.Fatalf("admission cache holds %d tokens, want 3", n)
+	}
+}

@@ -162,11 +162,8 @@ func (v *Verifier) Verify(now time.Time, token string) (Claims, error) {
 	if c.ExpiresAt == 0 {
 		return zero, fmt.Errorf("%w: missing exp", ErrMalformed)
 	}
-	if !now.Before(time.Unix(c.ExpiresAt, 0).Add(v.Leeway)) {
-		return zero, ErrExpired
-	}
-	if c.NotBefore != 0 && now.Add(v.Leeway).Before(time.Unix(c.NotBefore, 0)) {
-		return zero, ErrNotYet
+	if err := v.checkTimes(now, c.ExpiresAt, c.NotBefore); err != nil {
+		return zero, err
 	}
 	if err := checkSubject(c.Subject, v.maxSubject()); err != nil {
 		return zero, err
@@ -175,6 +172,20 @@ func (v *Verifier) Verify(now time.Time, token string) (Claims, error) {
 		return zero, ErrNoScope
 	}
 	return c, nil
+}
+
+// checkTimes checks a token's exp and nbf claims (Unix seconds; nbf 0
+// means none) against now, tolerating Leeway of skew either way. Verify
+// and the bridge's admission cache share it, so a cached token is held
+// to exactly the bounds a fresh one is.
+func (v *Verifier) checkTimes(now time.Time, exp, nbf int64) error {
+	if !now.Before(time.Unix(exp, 0).Add(v.Leeway)) {
+		return ErrExpired
+	}
+	if nbf != 0 && now.Add(v.Leeway).Before(time.Unix(nbf, 0)) {
+		return ErrNotYet
+	}
+	return nil
 }
 
 func (v *Verifier) maxSubject() int {
