@@ -25,7 +25,7 @@ race:
 # lifecycle with every daemon built on it — fifty times under the race
 # detector: a Close or Shutdown race is rare per run, so one run proves
 # little.
-SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart|TestSpeculativeSteal|TestDenialNeverSpeculated|TestDelegationStreamsProgress|TestClosureRefMissResent|TestDrainPastTimeoutSevers|TestServeErrorIsReturned|TestCloseErrorFailsShutdown|TestClientDrainsOnStop|TestMasterDrainsOnStop|TestAuthzdAnnouncesCrashRepair|TestClientCloseAfterLinkDropped|TestClientCloseInterruptsFirstHandshake|TestClientWriteDeadlineOnStalledMaster
+SOAK_TESTS = TestServerShutdown|TestNetworkRoundTrip|TestMasterShutdown|TestMasterClose|TestClientClose|TestAcceptLoop|TestGIOP|TestCloseIsABarrier|TestShutdown|TestServeAfterClose|TestDaemonRestart|TestSpeculativeSteal|TestDenialNeverSpeculated|TestDelegationStreamsProgress|TestClosureRefMissResent|TestDrainPastTimeoutSevers|TestServeErrorIsReturned|TestCloseErrorFailsShutdown|TestClientDrainsOnStop|TestMasterDrainsOnStop|TestAuthzdAnnouncesCrashRepair|TestClientCloseAfterLinkDropped|TestClientCloseInterruptsFirstHandshake|TestClientWriteDeadlineOnStalledMaster|TestStoreUserHoldsDuringCommits
 
 soak:
 	$(GO) test -race -count=50 -timeout 30m -run '$(SOAK_TESTS)' ./internal/netserve/ ./internal/keycom/ ./internal/webcom/ ./internal/middleware/corba/ ./internal/daemon/ ./cmd/keycomd/ ./cmd/authzd/ ./cmd/webcom-master/ ./cmd/webcom-client/

@@ -14,7 +14,7 @@ import (
 // and recovery run on the real disk (faultfs.OS on a temp dir) so the
 // fsync cost the durability guarantee is built on is measured, not
 // hidden; the UserHolds read path never touches disk, so it runs on a
-// MemFS-backed store and measures the sharded index alone.
+// MemFS-backed store and measures the locked policy lookup alone.
 
 // benchSizes are the seeded principal counts.
 var benchSizes = []int{10_000, 100_000}
@@ -162,8 +162,8 @@ func BenchmarkStoreCommit1M(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreUserHolds1M is the admission read path against a
-// million-principal sharded index (MemFS; no disk in the loop).
+// BenchmarkStoreUserHolds1M is the read path against a
+// million-principal catalogue (MemFS; no disk in the loop).
 func BenchmarkStoreUserHolds1M(b *testing.B) {
 	skipUnless1M(b)
 	st, err := OpenStore("store", StoreOptions{FS: faultfs.NewMemFS(), SnapshotEvery: -1})

@@ -98,13 +98,13 @@ func TestCrashRecoveryChaosSuite(t *testing.T) {
 				if !st2.Policy().Equal(expected[seq]) {
 					t.Fatalf("recovered policy is not the seq-%d replay:\n%s", seq, st2.Policy())
 				}
-				// The sharded index — the admission read path — serves the
-				// recovered state, nothing staler and nothing newer.
+				// The read path serves the recovered state, nothing staler
+				// and nothing newer.
 				for i := 0; i < chaosCommits; i++ {
 					u := rbac.User(fmt.Sprintf("u%03d", i))
 					want := expected[seq].UserHolds(u, "SalariesDB.Component", "Access")
 					if st2.UserHolds(u, "SalariesDB.Component", "Access") != want {
-						t.Fatalf("index decision for %s diverges from recovered policy", u)
+						t.Fatalf("UserHolds decision for %s diverges from recovered policy", u)
 					}
 				}
 				// The audit chain verifies end to end and anchors the head.

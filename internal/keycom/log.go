@@ -118,7 +118,8 @@ func (a *appendFile) close() error {
 
 // durableLog is one snapshot + WAL pair. mu guards the log and the
 // embedding instance's in-memory state: the build, apply and state
-// callbacks all run under it.
+// callbacks all run under it, and accessors that only read take it
+// shared.
 type durableLog struct {
 	fs        faultfs.FS
 	tel       *telemetry.Registry
@@ -128,7 +129,7 @@ type durableLog struct {
 	good      int64                // WAL length recovery verified
 	state     func(seq uint64) any // the instance's snapshot payload
 
-	mu        sync.Mutex
+	mu        sync.RWMutex
 	wal       *appendFile
 	seq       uint64
 	sinceSnap int
@@ -310,15 +311,15 @@ func (l *durableLog) snapshotLocked() error {
 
 // Seq returns the last acknowledged sequence number.
 func (l *durableLog) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return l.seq
 }
 
 // RecoveryInfo reports what opening the log found and repaired.
 func (l *durableLog) RecoveryInfo() RecoveryInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return l.rec
 }
 

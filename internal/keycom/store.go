@@ -24,7 +24,7 @@ import (
 // Commit protocol (under the log lock): seal the audit record against
 // the current chain head, append-and-fsync the WAL frame (which embeds
 // the audit record), append-and-fsync the audit line, then apply the
-// diff to the in-memory policy and sharded index. A failure between the
+// diff to the in-memory policy. A failure between the
 // two appends rolls the WAL back to its pre-commit length so the two
 // logs never acknowledge different histories; if even the rollback
 // fails the store marks itself broken and refuses further commits —
@@ -86,14 +86,13 @@ type RecoveryInfo struct {
 	AuditRepaired int
 }
 
-// Store is a durable, crash-safe catalogue: the rbac rows plus a
-// sharded read index, backed by the snapshot + WAL + audit-chain files.
-// It is safe for concurrent use.
+// Store is a durable, crash-safe catalogue: the rbac rows, kept once in
+// memory, backed by the snapshot + WAL + audit-chain files. It is safe
+// for concurrent use.
 type Store struct {
 	*durableLog // its mu guards the fields below
 	now         func() int64
 	policy      *rbac.Policy
-	idx         *shardedIndex
 	audit       *auditLog
 }
 
@@ -113,7 +112,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{durableLog: l, now: opts.Now, policy: rbac.NewPolicy(), idx: newShardedIndex()}
+	s := &Store{durableLog: l, now: opts.Now, policy: rbac.NewPolicy()}
 	if s.now == nil {
 		s.now = func() int64 { return time.Now().Unix() }
 	}
@@ -218,7 +217,6 @@ func (s *Store) recover(img logImage[storeSnapshot, walRecord]) error {
 		return fmt.Errorf("%w: chain head does not match acknowledged history", ErrAuditTampered)
 	}
 
-	s.idx.rebuild(s.policy)
 	s.tel.Counter("keycom.audit.repaired").Add(int64(s.rec.AuditRepaired))
 	return nil
 }
@@ -283,28 +281,29 @@ func (s *Store) Commit(requester string, d rbac.Diff) (uint64, error) {
 			return err
 		}
 		s.policy.Apply(d)
-		s.idx.apply(d)
 		return nil
 	})
 }
 
 // Policy returns a snapshot copy of the catalogue.
 func (s *Store) Policy() *rbac.Policy {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.policy.Clone()
 }
 
 // UserHolds answers the composed access-control decision from the
-// sharded index without taking the store lock.
+// catalogue, in O(u's roles).
 func (s *Store) UserHolds(u rbac.User, ot rbac.ObjectType, p rbac.Permission) bool {
-	return s.idx.userHolds(u, ot, p)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.policy.UserHolds(u, ot, p)
 }
 
 // AuditHead returns the audit chain head digest.
 func (s *Store) AuditHead() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.audit.head
 }
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"securewebcom/internal/faultfs"
@@ -64,7 +65,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 		t.Fatalf("recovered policy differs:\n%s\nvs\n%s", st2.Policy(), want)
 	}
 	if !st2.UserHolds("u003", "SalariesDB.Component", "Access") {
-		t.Fatal("sharded index missing recovered principal")
+		t.Fatal("UserHolds misses a recovered principal")
 	}
 	if ri := st2.RecoveryInfo(); ri.Replayed != 5 || ri.TornWALBytes != 0 {
 		t.Fatalf("RecoveryInfo = %+v", ri)
@@ -279,17 +280,59 @@ func TestStoreENOSPCRefusesCommitKeepsServing(t *testing.T) {
 	}
 }
 
-// TestShardedIndexMatchesOracle drives the sharded index and a plain
-// rbac.Policy with the same random diff stream and checks every
-// composed decision agrees.
-func TestShardedIndexMatchesOracle(t *testing.T) {
+// flatCatalogue is the reference for Store.UserHolds: the two relations
+// as plain row sets, and the decision as an explicit join over them.
+type flatCatalogue struct {
+	rp map[rbac.RolePermEntry]bool
+	ur map[rbac.UserRoleEntry]bool
+}
+
+func (f flatCatalogue) apply(d rbac.Diff) {
+	for _, e := range d.AddedRolePerm {
+		f.rp[e] = true
+	}
+	for _, e := range d.RemovedRolePerm {
+		delete(f.rp, e)
+	}
+	for _, e := range d.AddedUserRole {
+		f.ur[e] = true
+	}
+	for _, e := range d.RemovedUserRole {
+		delete(f.ur, e)
+	}
+}
+
+func (f flatCatalogue) holds(u rbac.User, ot rbac.ObjectType, p rbac.Permission) bool {
+	for ur := range f.ur {
+		if ur.User == u && f.rp[rbac.RolePermEntry{Domain: ur.Domain, Role: ur.Role, ObjectType: ot, Permission: p}] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStoreUserHoldsMatchesReference commits a random two-domain diff
+// stream and checks every composed decision against the flat
+// reference after each commit, and again after a reopen.
+func TestStoreUserHoldsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	idx := newShardedIndex()
-	oracle := rbac.NewPolicy()
+	fs := faultfs.NewMemFS()
+	st := mustOpen(t, fs, StoreOptions{})
+	ref := flatCatalogue{rp: map[rbac.RolePermEntry]bool{}, ur: map[rbac.UserRoleEntry]bool{}}
 	users := []rbac.User{"alice", "bob", "carol", "dave", "erin"}
 	roles := []rbac.Role{"Clerk", "Manager", "Auditor"}
 	domains := []rbac.Domain{"DOMA", "DOMB"}
 	perms := []rbac.Permission{"Access", "Launch"}
+	check := func(st *Store, at string) {
+		t.Helper()
+		for _, u := range users {
+			for _, p := range perms {
+				if got, want := st.UserHolds(u, "SalariesDB.Component", p), ref.holds(u, "SalariesDB.Component", p); got != want {
+					t.Fatalf("%s: UserHolds(%s, %s) = %v, reference says %v", at, u, p, got, want)
+				}
+			}
+		}
+	}
 	for step := 0; step < 2000; step++ {
 		var d rbac.Diff
 		rp := rbac.RolePermEntry{
@@ -307,22 +350,74 @@ func TestShardedIndexMatchesOracle(t *testing.T) {
 		default:
 			d.RemovedUserRole = []rbac.UserRoleEntry{ur}
 		}
-		idx.apply(d)
-		oracle.Apply(d)
-		u := users[rng.Intn(5)]
-		p := perms[rng.Intn(2)]
-		if got, want := idx.userHolds(u, "SalariesDB.Component", p), oracle.UserHolds(u, "SalariesDB.Component", p); got != want {
-			t.Fatalf("step %d: index says %v, oracle says %v for %s/%s", step, got, want, u, p)
+		if _, err := st.Commit("admin", d); err != nil {
+			t.Fatal(err)
 		}
+		ref.apply(d)
+		check(st, fmt.Sprintf("step %d", step))
 	}
-	// rebuild from the oracle must agree everywhere too.
-	idx2 := newShardedIndex()
-	idx2.rebuild(oracle)
-	for _, u := range users {
-		for _, p := range perms {
-			if idx2.userHolds(u, "SalariesDB.Component", p) != oracle.UserHolds(u, "SalariesDB.Component", p) {
-				t.Fatalf("rebuilt index disagrees for %s/%s", u, p)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := mustOpen(t, fs, StoreOptions{})
+	defer st2.Close()
+	check(st2, "after reopen")
+}
+
+// TestStoreUserHoldsDuringCommits reads the catalogue while a writer
+// commits: each round grants and revokes a transient user, then grants
+// a permanent one. A permanent grant must read as held by every reader
+// once its Commit has returned; run under -race, the test also checks
+// that reads and commits share the store's lock.
+func TestStoreUserHoldsDuringCommits(t *testing.T) {
+	st := mustOpen(t, faultfs.NewMemFS(), StoreOptions{SnapshotEvery: 16})
+	defer st.Close()
+	if _, err := st.Commit("admin", clerkDiff(0)); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	permanent := func(i int) rbac.User { return rbac.User(fmt.Sprintf("p%03d", i)) }
+	grant := func(u rbac.User) rbac.Diff {
+		return rbac.Diff{AddedUserRole: []rbac.UserRoleEntry{{User: u, Domain: "DOMA", Role: "Clerk"}}}
+	}
+	var acked atomic.Int64    // rounds whose permanent grant has returned
+	defer acked.Store(rounds) // a failed commit releases the readers
+	var readerErr atomic.Value
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for n := acked.Load(); n < rounds; n = acked.Load() {
+				st.UserHolds(rbac.User(fmt.Sprintf("t%03d", rng.Intn(rounds))), "SalariesDB.Component", "Access")
+				if n == 0 {
+					continue
+				}
+				if u := permanent(rng.Intn(int(n))); !st.UserHolds(u, "SalariesDB.Component", "Access") {
+					readerErr.Store(fmt.Errorf("%s not held after its commit returned", u))
+					return
+				}
 			}
+		}(r)
+	}
+	for i := 0; i < rounds; i++ {
+		tmp := grant(rbac.User(fmt.Sprintf("t%03d", i)))
+		revoke := rbac.Diff{RemovedUserRole: tmp.AddedUserRole}
+		for _, d := range []rbac.Diff{tmp, revoke, grant(permanent(i))} {
+			if _, err := st.Commit("admin", d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acked.Store(int64(i + 1))
+	}
+	readers.Wait()
+	if err, _ := readerErr.Load().(error); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if st.UserHolds(rbac.User(fmt.Sprintf("t%03d", i)), "SalariesDB.Component", "Access") {
+			t.Fatalf("revoked t%03d still held", i)
 		}
 	}
 }

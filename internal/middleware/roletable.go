@@ -1,30 +1,25 @@
 package middleware
 
-import (
-	"slices"
-
-	"securewebcom/internal/rbac"
-)
+import "securewebcom/internal/rbac"
 
 // RoleTable holds one domain's rows of the extended RBAC model: the
 // RolePerm relation (role, object type, permission) and the UserRole
 // relation (user, role), both within the table's domain. It is the
 // mechanism under every adapter: the CORBA ORB holds one, each EJB bean
 // container one and the COM+ catalogue one, and each keeps only its
-// native vocabulary and constraints at its own edge. Assignments are
-// indexed by user, so Holds costs O(the user's roles). Rows enter
-// through Grant, Assign, Replace and ApplyDiff, and leave only through
-// the last two.
+// native vocabulary and constraints at its own edge. The rows live in
+// an rbac.Policy, which indexes assignments by user; the table adds
+// only the domain filter and the native side effects of an imported
+// row. Rows enter through Grant, Assign, Replace and ApplyDiff, and
+// leave only through the last two.
 //
 // A RoleTable is not safe for concurrent use; its adapter's lock
 // guards it.
 type RoleTable struct {
-	domain  rbac.Domain
-	perms   map[rbac.RolePermEntry]struct{}
-	members map[rbac.User]*[]rbac.Role // user -> its roles; see setRoles
-	single  map[rbac.Role]*[]rbac.Role // the shared one-role sets
-	onRole  func(rbac.Role)
-	onUser  func(rbac.User)
+	domain rbac.Domain
+	rows   *rbac.Policy // only rows of domain
+	onRole func(rbac.Role)
+	onUser func(rbac.User)
 }
 
 // NewRoleTable returns an empty table for domain d. Replace and
@@ -33,122 +28,62 @@ type RoleTable struct {
 // effects of an imported row, such as declaring the role or creating
 // the user's account. Neither may be nil.
 func NewRoleTable(d rbac.Domain, onRole func(rbac.Role), onUser func(rbac.User)) *RoleTable {
-	return &RoleTable{
-		domain: d, onRole: onRole, onUser: onUser,
-		perms:   make(map[rbac.RolePermEntry]struct{}),
-		members: make(map[rbac.User]*[]rbac.Role),
-		single:  make(map[rbac.Role]*[]rbac.Role),
-	}
+	return &RoleTable{domain: d, rows: rbac.NewPolicy(), onRole: onRole, onUser: onUser}
 }
 
 // Grant adds the row RolePerm(domain, r, ot, p).
 func (t *RoleTable) Grant(r rbac.Role, ot rbac.ObjectType, p rbac.Permission) {
-	t.perms[rbac.RolePermEntry{Domain: t.domain, Role: r, ObjectType: ot, Permission: p}] = struct{}{}
+	t.rows.AddRolePerm(t.domain, r, ot, p)
 }
 
 // Assign adds the row UserRole(u, domain, r).
 func (t *RoleTable) Assign(u rbac.User, r rbac.Role) {
-	if cur := t.rolesOf(u); !slices.Contains(cur, r) {
-		t.setRoles(u, append(cur[:len(cur):len(cur)], r)) // copies: sets are shared
-	}
-}
-
-func (t *RoleTable) rolesOf(u rbac.User) []rbac.Role {
-	if s := t.members[u]; s != nil {
-		return *s
-	}
-	return nil
-}
-
-// setRoles makes roles u's role set. Users with one role share that
-// role's set, so many one-role members cost a pointer each, as a member
-// set per role does; a map per user costs several times more.
-func (t *RoleTable) setRoles(u rbac.User, roles []rbac.Role) {
-	switch len(roles) {
-	case 0:
-		delete(t.members, u)
-	case 1:
-		s := t.single[roles[0]]
-		if s == nil {
-			s = &[]rbac.Role{roles[0]}
-			t.single[roles[0]] = s
-		}
-		t.members[u] = s
-	default:
-		s := roles // &roles would move the parameter to the heap on every call
-		t.members[u] = &s
-	}
+	t.rows.AddUserRole(u, t.domain, r)
 }
 
 // Holds reports whether u holds permission p on ot through one of its
 // roles in the table's domain.
 func (t *RoleTable) Holds(u rbac.User, ot rbac.ObjectType, p rbac.Permission) bool {
-	for _, r := range t.rolesOf(u) {
-		if _, ok := t.perms[rbac.RolePermEntry{Domain: t.domain, Role: r, ObjectType: ot, Permission: p}]; ok {
-			return true
-		}
-	}
-	return false
+	return t.rows.UserHoldsInDomain(u, t.domain, ot, p)
 }
 
 // Extract adds the table's rows to p and returns p.
 func (t *RoleTable) Extract(p *rbac.Policy) *rbac.Policy {
-	for e := range t.perms {
-		p.AddRolePerm(e.Domain, e.Role, e.ObjectType, e.Permission)
-	}
-	for u, roles := range t.members {
-		for _, r := range *roles {
-			p.AddUserRole(u, t.domain, r)
-		}
-	}
+	p.Merge(t.rows)
 	return p
 }
 
 // Replace makes the table's rows exactly p's rows for the table's
 // domain and returns how many rows that is.
 func (t *RoleTable) Replace(p *rbac.Policy) int {
-	*t = *NewRoleTable(t.domain, t.onRole, t.onUser)
+	t.rows = rbac.NewPolicy()
 	t.ApplyDiff(rbac.Diff{AddedRolePerm: p.RolePerms(), AddedUserRole: p.UserRoles()})
-	n := len(t.perms)
-	for _, roles := range t.members {
-		n += len(*roles)
-	}
-	return n
+	return t.rows.Len()
 }
 
 // ApplyDiff applies the rows of d that belong to the table's domain, in
-// the order rbac.Policy.Apply uses, and ignores the rest.
+// the order rbac.Policy.Apply uses, and ignores the rest. Each inserted
+// row first runs its native side effects.
 func (t *RoleTable) ApplyDiff(d rbac.Diff) {
 	for _, e := range d.AddedRolePerm {
-		t.addRolePerm(e)
-	}
-	for _, e := range d.RemovedRolePerm {
-		delete(t.perms, e) // a row of another domain is never present
-	}
-	for _, e := range d.AddedUserRole {
-		t.addUserRole(e)
-	}
-	for _, e := range d.RemovedUserRole {
 		if e.Domain == t.domain {
-			rest := slices.DeleteFunc(slices.Clone(t.rolesOf(e.User)), func(r rbac.Role) bool { return r == e.Role })
-			t.setRoles(e.User, rest)
+			t.onRole(e.Role)
+			t.rows.AddRolePerm(e.Domain, e.Role, e.ObjectType, e.Permission)
 		}
 	}
-}
-
-// addRolePerm and addUserRole insert a row of the table's domain, with
-// its native side effects, and ignore a row of any other.
-func (t *RoleTable) addRolePerm(e rbac.RolePermEntry) {
-	if e.Domain == t.domain {
-		t.onRole(e.Role)
-		t.perms[e] = struct{}{}
+	// A row of another domain is never present, so removals need no
+	// filter.
+	for _, e := range d.RemovedRolePerm {
+		t.rows.RemoveRolePerm(e.Domain, e.Role, e.ObjectType, e.Permission)
 	}
-}
-
-func (t *RoleTable) addUserRole(e rbac.UserRoleEntry) {
-	if e.Domain == t.domain {
-		t.onRole(e.Role)
-		t.onUser(e.User)
-		t.Assign(e.User, e.Role)
+	for _, e := range d.AddedUserRole {
+		if e.Domain == t.domain {
+			t.onRole(e.Role)
+			t.onUser(e.User)
+			t.rows.AddUserRole(e.User, e.Domain, e.Role)
+		}
+	}
+	for _, e := range d.RemovedUserRole {
+		t.rows.RemoveUserRole(e.User, e.Domain, e.Role)
 	}
 }

@@ -36,7 +36,7 @@ type userRoleJSON struct {
 func (p *Policy) MarshalJSON() ([]byte, error) {
 	out := policyJSON{
 		RolePerm: make([]rolePermJSON, 0, len(p.rolePerm)),
-		UserRole: make([]userRoleJSON, 0, len(p.userRole)),
+		UserRole: make([]userRoleJSON, 0, p.nUR),
 	}
 	for _, e := range p.RolePerms() {
 		out.RolePerm = append(out.RolePerm, rolePermJSON{
@@ -60,10 +60,7 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("rbac: parse policy: %w", err)
 	}
 	if p.rolePerm == nil {
-		p.rolePerm = make(map[RolePermEntry]struct{})
-	}
-	if p.userRole == nil {
-		p.userRole = make(map[UserRoleEntry]struct{})
+		*p = *NewPolicy()
 	}
 	for _, e := range in.RolePerm {
 		if e.Domain == "" || e.Role == "" || e.ObjectType == "" || e.Permission == "" {

@@ -14,10 +14,21 @@
 // domain-role pair (d, r). The model is the common interpretation of
 // CORBA, EJB and COM+ security configurations and the pivot format for
 // every policy translation in this repository.
+//
+// Policy is also the one in-memory layout of the relation: the KeyCOM
+// store keeps its catalogue in one, and every middleware adapter keeps
+// its domain's rows in one through middleware.RoleTable. RolePerm is a
+// row set. UserRole is indexed by user, and a user's role set is never
+// changed in place once stored: users with one role share one set per
+// (domain, role) pair, so a one-role member costs a pointer, and a user
+// with several roles gets a fresh slice on every change
+// (copy-on-write), so a clone shares every set with its original.
 package rbac
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -73,19 +84,45 @@ func (e UserRoleEntry) String() string {
 // Policy is a mutable RBAC policy: the two relations of the extended
 // model. The zero value is not ready for use; call NewPolicy.
 //
+// UserRole is indexed by user (see the package doc for the layout), so
+// UserHolds, HasUserRole, RolesOf and RemoveUser cost O(the user's
+// roles), not O(the relation).
+//
 // Policy is not safe for concurrent mutation; adapters that share a
 // policy synchronise externally.
 type Policy struct {
 	rolePerm map[RolePermEntry]struct{}
-	userRole map[UserRoleEntry]struct{}
+	userRole map[User]*[]DomainRole       // user -> its roles; never changed in place
+	single   map[DomainRole]*[]DomainRole // the shared one-role sets
+	nUR      int                          // UserRole rows
 }
 
 // NewPolicy returns an empty policy.
 func NewPolicy() *Policy {
 	return &Policy{
 		rolePerm: make(map[RolePermEntry]struct{}),
-		userRole: make(map[UserRoleEntry]struct{}),
+		userRole: make(map[User]*[]DomainRole),
+		single:   make(map[DomainRole]*[]DomainRole),
 	}
+}
+
+// rolesOf returns u's role set. It is shared: never modify it.
+func (p *Policy) rolesOf(u User) []DomainRole {
+	if s := p.userRole[u]; s != nil {
+		return *s
+	}
+	return nil
+}
+
+// one returns dr's one-role set, which every user holding only dr
+// shares; a set per user would cost several times more.
+func (p *Policy) one(dr DomainRole) *[]DomainRole {
+	s := p.single[dr]
+	if s == nil {
+		s = &[]DomainRole{dr}
+		p.single[dr] = s
+	}
+	return s
 }
 
 // AddRolePerm inserts RolePerm(d, r, ot, p). Inserting an existing row is
@@ -96,7 +133,18 @@ func (p *Policy) AddRolePerm(d Domain, r Role, ot ObjectType, perm Permission) {
 
 // AddUserRole inserts UserRole(u, d, r).
 func (p *Policy) AddUserRole(u User, d Domain, r Role) {
-	p.userRole[UserRoleEntry{u, d, r}] = struct{}{}
+	dr := DomainRole{d, r}
+	cur := p.rolesOf(u)
+	switch {
+	case slices.Contains(cur, dr):
+		return
+	case len(cur) == 0:
+		p.userRole[u] = p.one(dr)
+	default:
+		s := append(cur[:len(cur):len(cur)], dr) // copies: sets are shared
+		p.userRole[u] = &s
+	}
+	p.nUR++
 }
 
 // RemoveRolePerm deletes a RolePerm row; absent rows are a no-op.
@@ -106,20 +154,29 @@ func (p *Policy) RemoveRolePerm(d Domain, r Role, ot ObjectType, perm Permission
 
 // RemoveUserRole deletes a UserRole row.
 func (p *Policy) RemoveUserRole(u User, d Domain, r Role) {
-	delete(p.userRole, UserRoleEntry{u, d, r})
+	cur := p.rolesOf(u)
+	i := slices.Index(cur, DomainRole{d, r})
+	switch {
+	case i < 0:
+		return
+	case len(cur) == 1:
+		delete(p.userRole, u)
+	case len(cur) == 2:
+		p.userRole[u] = p.one(cur[1-i])
+	default:
+		s := slices.Delete(slices.Clone(cur), i, i+1)
+		p.userRole[u] = &s
+	}
+	p.nUR--
 }
 
 // RemoveUser deletes every role assignment of u (revocation of a user
 // without touching role permissions — the administrative operation RBAC
 // is praised for in Section 2).
 func (p *Policy) RemoveUser(u User) int {
-	n := 0
-	for e := range p.userRole {
-		if e.User == u {
-			delete(p.userRole, e)
-			n++
-		}
-	}
+	n := len(p.rolesOf(u))
+	delete(p.userRole, u)
+	p.nUR -= n
 	return n
 }
 
@@ -131,8 +188,7 @@ func (p *Policy) HasRolePerm(d Domain, r Role, ot ObjectType, perm Permission) b
 
 // HasUserRole reports membership of the UserRole relation.
 func (p *Policy) HasUserRole(u User, d Domain, r Role) bool {
-	_, ok := p.userRole[UserRoleEntry{u, d, r}]
-	return ok
+	return slices.Contains(p.rolesOf(u), DomainRole{d, r})
 }
 
 // UserHolds reports whether user u holds permission perm on object type ot
@@ -140,11 +196,8 @@ func (p *Policy) HasUserRole(u User, d Domain, r Role) bool {
 //
 //	∃ (d, r): UserRole(u, d, r) ∧ RolePerm(d, r, ot, perm).
 func (p *Policy) UserHolds(u User, ot ObjectType, perm Permission) bool {
-	for ur := range p.userRole {
-		if ur.User != u {
-			continue
-		}
-		if p.HasRolePerm(ur.Domain, ur.Role, ot, perm) {
+	for _, dr := range p.rolesOf(u) {
+		if p.HasRolePerm(dr.Domain, dr.Role, ot, perm) {
 			return true
 		}
 	}
@@ -153,11 +206,8 @@ func (p *Policy) UserHolds(u User, ot ObjectType, perm Permission) bool {
 
 // UserHoldsInDomain is UserHolds restricted to roles of one domain.
 func (p *Policy) UserHoldsInDomain(u User, d Domain, ot ObjectType, perm Permission) bool {
-	for ur := range p.userRole {
-		if ur.User != u || ur.Domain != d {
-			continue
-		}
-		if p.HasRolePerm(d, ur.Role, ot, perm) {
+	for _, dr := range p.rolesOf(u) {
+		if dr.Domain == d && p.HasRolePerm(d, dr.Role, ot, perm) {
 			return true
 		}
 	}
@@ -177,9 +227,11 @@ func (p *Policy) RolePerms() []RolePermEntry {
 
 // UserRoles returns the UserRole relation sorted by (user, domain, role).
 func (p *Policy) UserRoles() []UserRoleEntry {
-	out := make([]UserRoleEntry, 0, len(p.userRole))
-	for e := range p.userRole {
-		out = append(out, e)
+	out := make([]UserRoleEntry, 0, p.nUR)
+	for u, s := range p.userRole {
+		for _, dr := range *s {
+			out = append(out, UserRoleEntry{u, dr.Domain, dr.Role})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return lessUR(out[i], out[j]) })
 	return out
@@ -208,36 +260,39 @@ func lessUR(a, b UserRoleEntry) bool {
 	return a.Role < b.Role
 }
 
+func lessDR(a, b DomainRole) bool {
+	if a.Domain != b.Domain {
+		return a.Domain < b.Domain
+	}
+	return a.Role < b.Role
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Domains returns every domain mentioned in either relation, sorted.
 func (p *Policy) Domains() []Domain {
 	set := map[Domain]struct{}{}
 	for e := range p.rolePerm {
 		set[e.Domain] = struct{}{}
 	}
-	for e := range p.userRole {
-		set[e.Domain] = struct{}{}
+	for _, s := range p.userRole {
+		for _, dr := range *s {
+			set[dr.Domain] = struct{}{}
+		}
 	}
-	out := make([]Domain, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(set)
 }
 
 // Users returns every user in the UserRole relation, sorted.
-func (p *Policy) Users() []User {
-	set := map[User]struct{}{}
-	for e := range p.userRole {
-		set[e.User] = struct{}{}
-	}
-	out := make([]User, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (p *Policy) Users() []User { return sortedKeys(p.userRole) }
 
 // ObjectTypes returns every object type in the RolePerm relation, sorted.
 func (p *Policy) ObjectTypes() []ObjectType {
@@ -245,12 +300,7 @@ func (p *Policy) ObjectTypes() []ObjectType {
 	for e := range p.rolePerm {
 		set[e.ObjectType] = struct{}{}
 	}
-	out := make([]ObjectType, 0, len(set))
-	for ot := range set {
-		out = append(out, ot)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(set)
 }
 
 // RolesIn returns the roles of domain d mentioned in either relation,
@@ -262,45 +312,32 @@ func (p *Policy) RolesIn(d Domain) []Role {
 			set[e.Role] = struct{}{}
 		}
 	}
-	for e := range p.userRole {
-		if e.Domain == d {
-			set[e.Role] = struct{}{}
+	for _, s := range p.userRole {
+		for _, dr := range *s {
+			if dr.Domain == d {
+				set[dr.Role] = struct{}{}
+			}
 		}
 	}
-	out := make([]Role, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(set)
 }
 
 // RolesOf returns the (domain, role) pairs user u is assigned to, sorted.
 func (p *Policy) RolesOf(u User) []DomainRole {
-	var out []DomainRole
-	for e := range p.userRole {
-		if e.User == u {
-			out = append(out, DomainRole{e.Domain, e.Role})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domain != out[j].Domain {
-			return out[i].Domain < out[j].Domain
-		}
-		return out[i].Role < out[j].Role
-	})
+	out := slices.Clone(p.rolesOf(u))
+	sort.Slice(out, func(i, j int) bool { return lessDR(out[i], out[j]) })
 	return out
 }
 
 // UsersIn returns the users assigned to (d, r), sorted.
 func (p *Policy) UsersIn(d Domain, r Role) []User {
 	var out []User
-	for e := range p.userRole {
-		if e.Domain == d && e.Role == r {
-			out = append(out, e.User)
+	for u, s := range p.userRole {
+		if slices.Contains(*s, DomainRole{d, r}) {
+			out = append(out, u)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -316,21 +353,20 @@ func (p *Policy) PermsOf(d Domain, r Role) []RolePermEntry {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns an independent copy. The role sets are shared, which is
+// safe because neither policy changes a set in place.
 func (p *Policy) Clone() *Policy {
-	q := NewPolicy()
-	for e := range p.rolePerm {
-		q.rolePerm[e] = struct{}{}
+	return &Policy{
+		rolePerm: maps.Clone(p.rolePerm),
+		userRole: maps.Clone(p.userRole),
+		single:   maps.Clone(p.single),
+		nUR:      p.nUR,
 	}
-	for e := range p.userRole {
-		q.userRole[e] = struct{}{}
-	}
-	return q
 }
 
 // Equal reports whether two policies contain exactly the same rows.
 func (p *Policy) Equal(q *Policy) bool {
-	if len(p.rolePerm) != len(q.rolePerm) || len(p.userRole) != len(q.userRole) {
+	if len(p.rolePerm) != len(q.rolePerm) || p.nUR != q.nUR {
 		return false
 	}
 	for e := range p.rolePerm {
@@ -338,12 +374,20 @@ func (p *Policy) Equal(q *Policy) bool {
 			return false
 		}
 	}
-	for e := range p.userRole {
-		if _, ok := q.userRole[e]; !ok {
-			return false
+	return len(p.userRolesNotIn(q)) == 0
+}
+
+// userRolesNotIn returns p's UserRole rows that q lacks, unsorted.
+func (p *Policy) userRolesNotIn(q *Policy) []UserRoleEntry {
+	var out []UserRoleEntry
+	for u, s := range p.userRole {
+		for _, dr := range *s {
+			if !q.HasUserRole(u, dr.Domain, dr.Role) {
+				out = append(out, UserRoleEntry{u, dr.Domain, dr.Role})
+			}
 		}
 	}
-	return true
+	return out
 }
 
 // Merge adds every row of q into p (policy union; used when synthesising a
@@ -352,8 +396,10 @@ func (p *Policy) Merge(q *Policy) {
 	for e := range q.rolePerm {
 		p.rolePerm[e] = struct{}{}
 	}
-	for e := range q.userRole {
-		p.userRole[e] = struct{}{}
+	for u, s := range q.userRole {
+		for _, dr := range *s {
+			p.AddUserRole(u, dr.Domain, dr.Role)
+		}
 	}
 }
 
@@ -402,16 +448,8 @@ func (p *Policy) DiffFrom(old *Policy) Diff {
 			d.RemovedRolePerm = append(d.RemovedRolePerm, e)
 		}
 	}
-	for e := range p.userRole {
-		if _, ok := old.userRole[e]; !ok {
-			d.AddedUserRole = append(d.AddedUserRole, e)
-		}
-	}
-	for e := range old.userRole {
-		if _, ok := p.userRole[e]; !ok {
-			d.RemovedUserRole = append(d.RemovedUserRole, e)
-		}
-	}
+	d.AddedUserRole = p.userRolesNotIn(old)
+	d.RemovedUserRole = old.userRolesNotIn(p)
 	sort.Slice(d.AddedRolePerm, func(i, j int) bool { return lessRP(d.AddedRolePerm[i], d.AddedRolePerm[j]) })
 	sort.Slice(d.RemovedRolePerm, func(i, j int) bool { return lessRP(d.RemovedRolePerm[i], d.RemovedRolePerm[j]) })
 	sort.Slice(d.AddedUserRole, func(i, j int) bool { return lessUR(d.AddedUserRole[i], d.AddedUserRole[j]) })
@@ -422,16 +460,16 @@ func (p *Policy) DiffFrom(old *Policy) Diff {
 // Apply applies a diff to the policy.
 func (p *Policy) Apply(d Diff) {
 	for _, e := range d.AddedRolePerm {
-		p.rolePerm[e] = struct{}{}
+		p.AddRolePerm(e.Domain, e.Role, e.ObjectType, e.Permission)
 	}
 	for _, e := range d.RemovedRolePerm {
-		delete(p.rolePerm, e)
+		p.RemoveRolePerm(e.Domain, e.Role, e.ObjectType, e.Permission)
 	}
 	for _, e := range d.AddedUserRole {
-		p.userRole[e] = struct{}{}
+		p.AddUserRole(e.User, e.Domain, e.Role)
 	}
 	for _, e := range d.RemovedUserRole {
-		delete(p.userRole, e)
+		p.RemoveUserRole(e.User, e.Domain, e.Role)
 	}
 }
 
@@ -465,7 +503,7 @@ func (p *Policy) Validate() []string {
 }
 
 // Len returns the total number of rows across both relations.
-func (p *Policy) Len() int { return len(p.rolePerm) + len(p.userRole) }
+func (p *Policy) Len() int { return len(p.rolePerm) + p.nUR }
 
 // String renders the policy in the two-table style of Figure 1.
 func (p *Policy) String() string {

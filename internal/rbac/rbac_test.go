@@ -254,13 +254,14 @@ func TestQuickUserHoldsIsJoin(t *testing.T) {
 	const ot = ObjectType("O")
 
 	f := func(urMask, rpMask uint16, ui, pi uint8) bool {
-		p := NewPolicy()
+		p, ref := NewPolicy(), newRef()
 		i := 0
 		for _, u := range users {
 			for _, d := range domains {
 				for _, r := range roles {
 					if urMask&(1<<i) != 0 {
 						p.AddUserRole(u, d, r)
+						ref.ur[UserRoleEntry{u, d, r}] = true
 					}
 					i++
 				}
@@ -272,6 +273,7 @@ func TestQuickUserHoldsIsJoin(t *testing.T) {
 				for _, pm := range perms {
 					if rpMask&(1<<i) != 0 {
 						p.AddRolePerm(d, r, ot, pm)
+						ref.rp[RolePermEntry{d, r, ot, pm}] = true
 					}
 					i++
 				}
@@ -279,19 +281,7 @@ func TestQuickUserHoldsIsJoin(t *testing.T) {
 		}
 		u := users[int(ui)%len(users)]
 		pm := perms[int(pi)%len(perms)]
-		// Reference: explicit join.
-		want := false
-		for _, ur := range p.UserRoles() {
-			if ur.User != u {
-				continue
-			}
-			for _, rp := range p.RolePerms() {
-				if rp.Domain == ur.Domain && rp.Role == ur.Role && rp.ObjectType == ot && rp.Permission == pm {
-					want = true
-				}
-			}
-		}
-		return p.UserHolds(u, ot, pm) == want
+		return p.UserHolds(u, ot, pm) == ref.holds(u, "", ot, pm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
